@@ -28,13 +28,16 @@ from .policies import FixedDetection, FixedFalseAlarm, FixedThreshold, Threshold
 @dataclass(frozen=True)
 class AmpState:
     """Final iterate: x is the estimate after the last update, z the
-    residual it was computed from, tau the last threshold used."""
+    residual it was computed from, tau the last threshold used, and
+    stop_reason "converged" (the relative change fell below conv_tol) or
+    "max_iter" (the cap was reached first)."""
 
     t: int
     x: np.ndarray
     z: np.ndarray
     tau: float
     active_count: int
+    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -69,14 +72,15 @@ def fixed_detection_tau(u: np.ndarray, gamma: float, n: int) -> float:
     if not 1 <= k <= u.size:
         raise RankError(f"order statistic {k} outside [1, {u.size}]")
     mag = np.abs(u)
-    return float(np.partition(mag, mag.size - k)[mag.size - k])
+    mag.partition(mag.size - k)
+    return float(mag[mag.size - k])
 
 
 def fixed_false_alarm_tau(z: np.ndarray, beta: float) -> float:
     """beta times the residual-norm estimate ||z||_2/sqrt(n) of the
     effective noise level."""
-    if beta <= 0.0:
-        raise RangeError(f"beta must be > 0, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise RangeError(f"beta must be finite and > 0, got {beta}")
     n = z.size
     return beta * float(np.linalg.norm(z)) / math.sqrt(n)
 
@@ -104,6 +108,12 @@ def gaussianity_stats(v: np.ndarray) -> tuple[float, float]:
     return (kurt, ks)
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 of a 1-D float vector: the same sqrt(v . v) that
+    np.linalg.norm computes, bit for bit, without its argument handling."""
+    return math.sqrt(v.dot(v))
+
+
 def _threshold(policy: ThresholdPolicy, u: np.ndarray, z: np.ndarray, n: int) -> float:
     if isinstance(policy, FixedDetection):
         return fixed_detection_tau(u, policy.gamma, n)
@@ -122,69 +132,88 @@ def amp_run(
     max_iter: int = 500,
     conv_tol: float = 1e-10,
     compute_gaussianity: bool = False,
-) -> tuple[AmpState, AmpTrace]:
+    trace: bool = True,
+) -> tuple[AmpState, AmpTrace | None]:
     """Run AMP until the iterate stalls or max_iter is reached.
 
     Convergence is relative iterate change ||x_{t+1} - x_t|| / max(||x_t||,
-    1e-12) < conv_tol.  Raises Divergence when ||x_t|| exceeds 1e12 ||y||
-    (e.g. detection target above the phase transition).
+    1e-12) < conv_tol.  Raises Divergence when ||x_{t+1}|| exceeds
+    1e12 ||y|| or is not finite (e.g. detection target above the phase
+    transition, or NaN in the data).
+
+    With trace=False no per-iteration rows are computed (compute_gaussianity
+    is then ignored) and the trace returned is None; the final state is the
+    same bit for bit.
     """
     if max_iter < 1:
         raise RangeError(f"max_iter must be >= 1, got {max_iter}")
     A, y, x_o = instance.A, instance.y, instance.x_o
+    At = A.T
     n, N = A.shape
     sqrt_n = math.sqrt(n)
-    y_norm = float(np.linalg.norm(y))
+    limit = 1e12 * max(float(np.linalg.norm(y)), 1.0)
+    rows = []
 
-    x = np.zeros(N)
-    z_prev = np.zeros(n)
-    rows_t, rows_tau, rows_active, rows_res, rows_mse = [], [], [], [], []
-    rows_kurt, rows_ks = [], []
-
+    # every vector lives in a buffer allocated once; x/x_new and z/z_prev
+    # swap roles after each iteration
+    x, x_new, u, mag = np.zeros(N), np.empty(N), np.empty(N), np.empty(N)
+    z, z_prev, Ax = np.empty(n), np.zeros(n), np.empty(n)
+    active = 0  # nonzero count of x, carried from the previous iteration
+    x_norm = 0.0  # ||x||, carried likewise
     tau = 0.0
-    z = z_prev
+    stop_reason = "max_iter"
     for t in range(max_iter):
-        active = int(np.count_nonzero(x))
-        z = y - A @ x + (active / n) * z_prev
-        u = x + A.T @ z
+        # z = y - A x + (active / n) z_prev
+        np.matmul(A, x, out=Ax)
+        np.subtract(y, Ax, out=z)
+        np.multiply(z_prev, active / n, out=Ax)
+        np.add(z, Ax, out=z)
+        # u = x + A^T z
+        np.matmul(At, z, out=u)
+        np.add(x, u, out=u)
         tau = _threshold(policy, u, z, n)
-        x_new = np.sign(u) * np.maximum(np.abs(u) - tau, 0.0)
+        # x_new = sign(u) * max(|u| - tau, 0)
+        np.abs(u, out=mag)
+        np.subtract(mag, tau, out=mag)
+        np.maximum(mag, 0.0, out=mag)
+        np.sign(u, out=x_new)
+        np.multiply(x_new, mag, out=x_new)
 
-        if float(np.linalg.norm(x_new)) > 1e12 * max(y_norm, 1.0):
+        new_norm = _norm(x_new)
+        if not new_norm <= limit:
             raise Divergence(f"iterate blew up at t={t}")
+        new_active = int(np.count_nonzero(x_new))
 
-        if compute_gaussianity:
-            kurt, ks = gaussianity_stats(u - x_o)
-        else:
-            kurt, ks = math.nan, math.nan
-        rows_t.append(t)
-        rows_tau.append(tau)
-        rows_active.append(int(np.count_nonzero(x_new)))
-        rows_res.append(float(np.linalg.norm(z)) / sqrt_n)
-        rows_mse.append(float(np.mean((x_new - x_o) ** 2)))
-        rows_kurt.append(kurt)
-        rows_ks.append(ks)
+        if trace:
+            if compute_gaussianity:
+                kurt, ks = gaussianity_stats(u - x_o)
+            else:
+                kurt, ks = math.nan, math.nan
+            mse = float(np.mean((x_new - x_o) ** 2))
+            rows.append((t, tau, new_active, _norm(z) / sqrt_n, mse, kurt, ks))
 
-        step = float(np.linalg.norm(x_new - x))
-        denom = max(float(np.linalg.norm(x)), 1e-12)
-        x, z_prev = x_new, z
+        np.subtract(x_new, x, out=mag)
+        step = _norm(mag)
+        denom = max(x_norm, 1e-12)
+        x, x_new = x_new, x
+        z, z_prev = z_prev, z
+        active, x_norm = new_active, new_norm
         if step / denom < conv_tol:
+            stop_reason = "converged"
             break
 
     state = AmpState(
-        t=len(rows_t),
-        x=x,
-        z=z,
-        tau=tau,
-        active_count=int(np.count_nonzero(x)),
+        t=t + 1, x=x, z=z_prev, tau=tau, active_count=active, stop_reason=stop_reason
     )
-    trace = AmpTrace(
-        t=np.array(rows_t, dtype=np.int64),
-        tau=np.array(rows_tau),
-        active_count=np.array(rows_active, dtype=np.int64),
-        residual_norm=np.array(rows_res),
-        mse=np.array(rows_mse),
-        kurtosis=np.array(rows_kurt),
-        ks=np.array(rows_ks),
+    if not trace:
+        return state, None
+    columns = list(zip(*rows))
+    return state, AmpTrace(
+        t=np.array(columns[0], dtype=np.int64),
+        tau=np.array(columns[1]),
+        active_count=np.array(columns[2], dtype=np.int64),
+        residual_norm=np.array(columns[3]),
+        mse=np.array(columns[4]),
+        kurtosis=np.array(columns[5]),
+        ks=np.array(columns[6]),
     )
-    return state, trace

@@ -222,7 +222,9 @@ def _cmd_amp_run(args) -> int:
         raise ConfigError(f"unknown policy {opts['policy']!r}")
     _, trace = amp_run(
         instance, policy, max_iter=opts["amp_iters"], conv_tol=opts["conv_tol"],
-        compute_gaussianity=True,
+        # the Gaussianity statistics need at least 100 samples; below that
+        # the kurtosis and ks columns stay NaN
+        compute_gaussianity=instance.A.shape[1] >= 100,
     )
     header = ("t", "tau", "active_count", "residual_norm", "mse", "kurtosis", "ks")
     rows = zip(trace.t, trace.tau, trace.active_count, trace.residual_norm,

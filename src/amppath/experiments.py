@@ -97,7 +97,9 @@ def _run_trial(N: int, n: int, k: int, gamma: float, max_iter: int, tol: float, 
     if norm_o == 0.0:
         return 1.0
     try:
-        state, _ = amp_run(instance, FixedDetection(gamma), max_iter=max_iter, conv_tol=1e-10)
+        state, _ = amp_run(
+            instance, FixedDetection(gamma), max_iter=max_iter, conv_tol=1e-10, trace=False
+        )
     except Divergence:
         return 0.0
     return 1.0 if float(np.linalg.norm(state.x - instance.x_o)) / norm_o < tol else 0.0
@@ -213,10 +215,14 @@ def lambda_sweep_empirical(cfg: SweepConfig) -> list[dict]:
             kkt = result.kkt_residual
         else:
             state, _ = amp_run(
-                instance, FixedDetection(point.gamma), max_iter=cfg.amp_max_iter, conv_tol=1e-10
+                instance,
+                FixedDetection(point.gamma),
+                max_iter=cfg.amp_max_iter,
+                conv_tol=1e-10,
+                trace=False,
             )
             x_hat = state.x
-            converged = state.t < cfg.amp_max_iter
+            converged = state.stop_reason == "converged"
             zero_tol = 0.0
             kkt = kkt_residual(instance, lam, x_hat) if lam > 0 else math.nan
         obs = compute_observables(x_hat, instance.x_o, zero_tol=zero_tol)

@@ -10,6 +10,7 @@ recursion.  Each policy fixes how the per-iteration threshold is chosen:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exceptions import RangeError
@@ -30,8 +31,8 @@ class FixedFalseAlarm:
     estimator: str = "residual"  # or "median"
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise RangeError(f"beta must be > 0, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise RangeError(f"beta must be finite and > 0, got {self.beta}")
         if self.estimator not in ("residual", "median"):
             raise RangeError(f"unknown noise estimator {self.estimator!r}")
 
@@ -41,8 +42,8 @@ class FixedThreshold:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0.0:
-            raise RangeError(f"tau must be >= 0, got {self.tau}")
+        if not 0.0 <= self.tau < math.inf:
+            raise RangeError(f"tau must be finite and >= 0, got {self.tau}")
 
 
 ThresholdPolicy = FixedDetection | FixedFalseAlarm | FixedThreshold

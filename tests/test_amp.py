@@ -73,10 +73,24 @@ class TestFixedFalseAlarmTau:
     def test_beta_validation(self):
         with pytest.raises(RangeError):
             fixed_false_alarm_tau(np.ones(4), 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(RangeError):
+                fixed_false_alarm_tau(np.ones(4), bad)
 
     def test_median_estimator(self):
         u = np.random.default_rng(6).standard_normal(10**6)
         assert median_abs_sigma(u) == pytest.approx(1.0, abs=5e-3)
+
+
+class TestPolicyValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_non_finite_and_negative(self, value):
+        with pytest.raises(RangeError):
+            FixedFalseAlarm(value)
+        with pytest.raises(RangeError):
+            FixedThreshold(value)
+        with pytest.raises(RangeError):
+            FixedDetection(value)
 
 
 class TestGaussianityStats:
@@ -127,26 +141,55 @@ class TestAmpRun:
         rel = np.linalg.norm(state.x - inst.x_o) / np.linalg.norm(inst.x_o)
         assert rel < 1e-2
 
-    def test_manual_iteration_replication(self):
+    @pytest.mark.parametrize("max_iter", [5, 200], ids=["capped", "converging"])
+    @pytest.mark.parametrize(
+        "policy",
+        [FixedDetection(0.3), FixedFalseAlarm(2.0), FixedThreshold(0.5)],
+        ids=["fixed-detection", "fixed-false-alarm", "fixed-threshold"],
+    )
+    def test_manual_iteration_replication(self, policy, max_iter):
         # replay the update rule by hand; every traced quantity must match,
         # including the memory-term coefficient built from the current support
+        # and the stopping rule, and an untraced run must end in the same state
         inst = make_instance(seed=7, k=12, noise=0.05)
-        policy = FixedFalseAlarm(2.0)
-        state, trace = amp_run(inst, policy, max_iter=5, conv_tol=0.0)
-        A, y, n = inst.A, inst.y, inst.config.n_rows
+        state, trace = amp_run(inst, policy, max_iter=max_iter, conv_tol=1e-10)
+        A, y, x_o, n = inst.A, inst.y, inst.x_o, inst.config.n_rows
         x = np.zeros(inst.config.n_cols)
         z_prev = np.zeros(n)
-        for t in range(5):
+        stop_reason = "max_iter"
+        for t in range(max_iter):
             z = y - A @ x + (np.count_nonzero(x) / n) * z_prev
             u = x + A.T @ z
-            tau = 2.0 * np.linalg.norm(z) / math.sqrt(n)
-            x = np.sign(u) * np.maximum(np.abs(u) - tau, 0.0)
-            z_prev = z
+            if isinstance(policy, FixedDetection):
+                k = math.floor(policy.gamma * n + 1e-9)
+                tau = np.sort(np.abs(u))[::-1][k - 1]
+            elif isinstance(policy, FixedFalseAlarm):
+                tau = policy.beta * np.linalg.norm(z) / math.sqrt(n)
+            else:
+                tau = policy.tau
+            x_new = np.sign(u) * np.maximum(np.abs(u) - tau, 0.0)
             assert trace.tau[t] == tau
-            assert trace.active_count[t] == np.count_nonzero(x)
+            assert trace.active_count[t] == np.count_nonzero(x_new)
             assert trace.residual_norm[t] == np.linalg.norm(z) / math.sqrt(n)
+            assert trace.mse[t] == np.mean((x_new - x_o) ** 2)
+            step = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12)
+            x, z_prev = x_new, z
+            if step < 1e-10:
+                stop_reason = "converged"
+                break
+        assert len(trace) == state.t == t + 1
+        assert state.stop_reason == stop_reason == ("max_iter" if max_iter == 5 else "converged")
         assert np.array_equal(state.x, x)
         assert np.array_equal(state.z, z_prev)
+        assert state.tau == tau and state.active_count == np.count_nonzero(x)
+
+        lean, none = amp_run(inst, policy, max_iter=max_iter, conv_tol=1e-10, trace=False)
+        assert none is None
+        assert lean.x.tobytes() == state.x.tobytes()
+        assert lean.z.tobytes() == state.z.tobytes()
+        assert (lean.t, lean.tau, lean.active_count, lean.stop_reason) == (
+            state.t, state.tau, state.active_count, state.stop_reason
+        )
 
     def test_fixed_detection_support_size(self):
         inst = sample_instance(
@@ -165,6 +208,16 @@ class TestAmpRun:
         inst = ProblemInstance(A=A, x_o=x_o, w=np.zeros(50), y=A @ x_o, config=None)
         with pytest.raises(Divergence):
             amp_run(inst, FixedDetection(1.0), max_iter=500)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"trace": False}], ids=["traced", "untraced"])
+    def test_divergence_on_nan_in_matrix(self, kwargs):
+        # a NaN iterate is never returned: the norm test must reject it
+        inst = make_instance(seed=3, k=5)
+        A = inst.A.copy()
+        A[0, np.flatnonzero(inst.x_o)[0]] = math.nan
+        bad = ProblemInstance(A=A, x_o=inst.x_o, w=inst.w, y=A @ inst.x_o, config=None)
+        with pytest.raises(Divergence):
+            amp_run(bad, FixedDetection(0.5), max_iter=20, **kwargs)
 
     def test_gaussianity_flag(self):
         inst = make_instance(seed=15, k=10, noise=0.1, n=150, N=300)

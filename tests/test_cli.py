@@ -171,6 +171,32 @@ class TestErrorPaths:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "policy",
+        [["fixed-threshold", "--tau"], ["fixed-false-alarm", "--beta"]],
+        ids=["tau", "beta"],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_policy_parameter_is_config_error(self, tmp_path, policy, value):
+        code, out = run(
+            tmp_path, "nan", "amp-run", "--n", "100", "--big-n", "200", "--k", "10",
+            "--policy", policy[0], policy[1], value, "--amp-iters", "3",
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_amp_run_below_gaussianity_sample_size(self, tmp_path):
+        # N < 100 is too short for the Gaussianity statistics: NaN columns, exit 0
+        code, out = run(
+            tmp_path, "small", "amp-run", "--n", "30", "--big-n", "60", "--k", "3",
+            "--gamma", "0.3", "--amp-iters", "4", "--conv-tol", "0",
+        )
+        assert code == 0
+        header, rows = read_table(out)
+        assert header == ["t", "tau", "active_count", "residual_norm", "mse", "kurtosis", "ks"]
+        assert len(rows) == 4
+        assert all(r["kurtosis"] == r["ks"] == "nan" for r in rows)
+
     def test_stdout_output(self, capsys):
         code = main(["se-solve", "--beta", "1.5"])
         assert code == 0

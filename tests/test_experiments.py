@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from amppath import (
+    FixedDetection,
     InstanceConfig,
     PhaseGridConfig,
     RangeError,
     SEModel,
     SparseSpec,
     SweepConfig,
+    amp_run,
+    beta_of_lambda,
     estimate_half_success_rho,
     interpolate_display_grid,
     lambda_sweep_empirical,
@@ -16,6 +19,7 @@ from amppath import (
     parse_prior,
     phase_transition_grid,
     rho_of_delta,
+    sample_instance,
     sparse_prior,
     stojnic_curve,
 )
@@ -192,6 +196,27 @@ class TestLambdaSweep:
         for r in rows:
             assert abs(r["empirical_dr"] - r["se_dr"]) < 0.05
             assert abs(r["empirical_mse"] - r["se_mse"]) / r["se_mse"] < 0.25
+
+    def test_amp_converging_on_last_allowed_iteration_counts(self):
+        inst_cfg = InstanceConfig(100, 200, SparseSpec(k=10), noise_variance=0.2, seed=0)
+        lam = 1.0
+        gamma = beta_of_lambda(model_for_instance(inst_cfg), lam).gamma
+        inst = sample_instance(inst_cfg)
+        free, _ = amp_run(inst, FixedDetection(gamma), max_iter=2000, trace=False)
+        assert free.stop_reason == "converged"
+        t_star = free.t
+        exact, _ = amp_run(inst, FixedDetection(gamma), max_iter=t_star, trace=False)
+        assert exact.stop_reason == "converged"
+        assert exact.x.tobytes() == free.x.tobytes()
+        short, _ = amp_run(inst, FixedDetection(gamma), max_iter=t_star - 1, trace=False)
+        assert short.stop_reason == "max_iter"
+
+        def sweep_converged(cap):
+            cfg = SweepConfig(instance=inst_cfg, lambda_grid=(lam,), solver="amp", amp_max_iter=cap)
+            return lambda_sweep_empirical(cfg)[0]["converged"]
+
+        assert sweep_converged(t_star) is True
+        assert sweep_converged(t_star - 1) is False
 
     def test_noise_free_rejected(self):
         with pytest.raises(RangeError):
