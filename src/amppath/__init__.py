@@ -1,15 +1,7 @@
 """AMP for LASSO with threshold policies, scalar state evolution, and a
 phase-transition experiment harness."""
 
-from .amp import (
-    AmpState,
-    AmpTrace,
-    amp_run,
-    fixed_detection_tau,
-    fixed_false_alarm_tau,
-    gaussianity_stats,
-    median_abs_sigma,
-)
+from .amp import AmpState, AmpTrace, amp_run, gaussianity_stats
 from .exceptions import (
     AmpPathError,
     BracketFailure,
@@ -43,7 +35,16 @@ from .instances import (
     sample_instance,
 )
 from .lasso import LassoResult, kkt_residual, lasso_solve, power_iteration_sq_norm
-from .policies import FixedDetection, FixedFalseAlarm, FixedThreshold, ThresholdPolicy
+from .policies import (
+    FixedDetection,
+    FixedFalseAlarm,
+    FixedThreshold,
+    ThresholdPolicy,
+    fixed_detection_tau,
+    fixed_false_alarm_tau,
+    median_abs_sigma,
+    solve_tau_for_detection,
+)
 from .priors import (
     Prior,
     PsiParams,
@@ -70,7 +71,6 @@ from .state_evolution import (
     lasso_path,
     se_trajectory,
     solve_sigma_for_beta,
-    solve_tau_for_detection,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""AMP iteration with pluggable threshold policies.
+"""AMP iteration with pluggable threshold policies (see ``policies``).
 
 The update is
 
@@ -20,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .exceptions import Divergence, RangeError, RankError
+from .exceptions import Divergence, RangeError
 from .instances import ProblemInstance
-from .policies import FixedDetection, FixedFalseAlarm, FixedThreshold, ThresholdPolicy
+from .policies import ThresholdPolicy
+# re-exported because benchmark/tracer.py times amppath.amp.fixed_detection_tau
+from .policies import fixed_detection_tau  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -59,38 +61,6 @@ class AmpTrace:
         return len(self.t)
 
 
-def fixed_detection_tau(u: np.ndarray, gamma: float, n: int) -> float:
-    """The floor(gamma*n)-th largest magnitude of u, by introselect.
-
-    Thresholding at this value keeps exactly the strictly larger
-    magnitudes, i.e. floor(gamma*n) - 1 entries for continuous data (the
-    marginal entry shrinks to zero; ties at the marginal magnitude all
-    drop, independent of index order).
-    """
-    # the 1e-9 nudge keeps decimal gammas like 0.3 from flooring one short
-    k = math.floor(gamma * n + 1e-9)
-    if not 1 <= k <= u.size:
-        raise RankError(f"order statistic {k} outside [1, {u.size}]")
-    mag = np.abs(u)
-    mag.partition(mag.size - k)
-    return float(mag[mag.size - k])
-
-
-def fixed_false_alarm_tau(z: np.ndarray, beta: float) -> float:
-    """beta times the residual-norm estimate ||z||_2/sqrt(n) of the
-    effective noise level."""
-    if not 0.0 < beta < math.inf:
-        raise RangeError(f"beta must be finite and > 0, got {beta}")
-    n = z.size
-    return beta * float(np.linalg.norm(z)) / math.sqrt(n)
-
-
-def median_abs_sigma(u: np.ndarray) -> float:
-    """Median-magnitude noise estimate |u|_med / 0.6745 (biased upward by
-    the signal's nonzero entries; kept behind the policy flag)."""
-    return float(np.median(np.abs(u))) / 0.6745
-
-
 def gaussianity_stats(v: np.ndarray) -> tuple[float, float]:
     """(excess kurtosis, KS distance to the fitted normal) of a sample.
 
@@ -112,18 +82,6 @@ def _norm(v: np.ndarray) -> float:
     """||v||_2 of a 1-D float vector: the same sqrt(v . v) that
     np.linalg.norm computes, bit for bit, without its argument handling."""
     return math.sqrt(v.dot(v))
-
-
-def _threshold(policy: ThresholdPolicy, u: np.ndarray, z: np.ndarray, n: int) -> float:
-    if isinstance(policy, FixedDetection):
-        return fixed_detection_tau(u, policy.gamma, n)
-    if isinstance(policy, FixedFalseAlarm):
-        if policy.estimator == "median":
-            return policy.beta * median_abs_sigma(u)
-        return fixed_false_alarm_tau(z, policy.beta)
-    if isinstance(policy, FixedThreshold):
-        return policy.tau
-    raise RangeError(f"unknown policy {policy!r}")
 
 
 def amp_run(
@@ -171,7 +129,7 @@ def amp_run(
         # u = x + A^T z
         np.matmul(At, z, out=u)
         np.add(x, u, out=u)
-        tau = _threshold(policy, u, z, n)
+        tau = policy.amp_tau(u, z, n)
         # x_new = sign(u) * max(|u| - tau, 0)
         np.abs(u, out=mag)
         np.subtract(mag, tau, out=mag)

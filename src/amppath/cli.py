@@ -18,10 +18,10 @@ import numpy as np
 from . import experiments
 from .amp import amp_run
 from .exceptions import ConfigError, SolverError
-from .instances import InstanceConfig, SparseSpec
+from .instances import InstanceConfig, SparseSpec, sample_instance
 from .policies import FixedDetection, FixedFalseAlarm, FixedThreshold
 from .priors import parse_prior, risk, risk_derivative
-from .state_evolution import SEModel, beta_of_lambda, calibrate_gamma, lambda_of_beta
+from .state_evolution import SEModel, beta_of_lambda, calibrate_gamma, lambda_of_beta, lasso_path
 
 SE_COLUMNS = ("lambda", "beta", "tau", "gamma", "sigma_hat", "mse", "detection")
 
@@ -74,12 +74,22 @@ _OPTIONS = {
 
 _FLAG_NAMES = {"lam": "--lambda", "big_n": "--big-n"}
 
+# policy name -> (policy class, the option holding its one parameter)
+_POLICIES = {
+    "fixed-detection": (FixedDetection, "gamma"),
+    "fixed-false-alarm": (FixedFalseAlarm, "beta"),
+    "fixed-threshold": (FixedThreshold, "tau"),
+}
+
+
+def _flag(name: str) -> str:
+    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+
 
 def _add_options(sub: argparse.ArgumentParser, names: list[str]):
     for name in names:
         typ, _, help_text = _OPTIONS[name]
-        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
-        sub.add_argument(flag, dest=name, type=typ, default=None, help=help_text)
+        sub.add_argument(_flag(name), dest=name, type=typ, default=None, help=help_text)
 
 
 def _read_config_file(path: str) -> dict:
@@ -142,8 +152,7 @@ def _build_model(opts) -> SEModel:
     return SEModel(opts["delta"], opts["sigma_w_sq"], parse_prior(opts["prior"]))
 
 
-def _cmd_se_solve(args) -> int:
-    opts = _resolve(args, ["delta", "sigma_w_sq", "prior", "lam", "beta", "gamma"])
+def _cmd_se_solve(opts, out):
     model = _build_model(opts)
     given = [k for k in ("lam", "beta", "gamma") if opts[k] is not None]
     if len(given) != 1:
@@ -154,33 +163,24 @@ def _cmd_se_solve(args) -> int:
         point = lambda_of_beta(model, opts["beta"])
     else:
         point = calibrate_gamma(model, opts["gamma"])
-    _write_csv(args.out, SE_COLUMNS, [_se_row(point)])
-    return 0
+    _write_csv(out, SE_COLUMNS, [_se_row(point)])
 
 
-def _cmd_lasso_path(args) -> int:
-    opts = _resolve(
-        args, ["delta", "sigma_w_sq", "prior", "lambda_min", "lambda_max", "lambda_points"]
-    )
+def _cmd_lasso_path(opts, out):
     model = _build_model(opts)
     grid = np.linspace(opts["lambda_min"], opts["lambda_max"], opts["lambda_points"])
-    from .state_evolution import lasso_path
-
     points = lasso_path(model, grid)
-    _write_csv(args.out, SE_COLUMNS, [_se_row(p) for p in points])
-    return 0
+    _write_csv(out, SE_COLUMNS, [_se_row(p) for p in points])
 
 
-def _cmd_risk_curve(args) -> int:
-    opts = _resolve(args, ["prior", "sigma", "tau_min", "tau_max", "tau_points"])
+def _cmd_risk_curve(opts, out):
     prior = parse_prior(opts["prior"])
     grid = np.linspace(opts["tau_min"], opts["tau_max"], opts["tau_points"])
     rows = [
         (t, risk(prior, opts["sigma"], t), risk_derivative(prior, opts["sigma"], t))
         for t in grid
     ]
-    _write_csv(args.out, ("tau", "risk", "risk_derivative"), rows)
-    return 0
+    _write_csv(out, ("tau", "risk", "risk_derivative"), rows)
 
 
 def _instance_config(opts) -> InstanceConfig:
@@ -197,29 +197,14 @@ def _instance_config(opts) -> InstanceConfig:
     )
 
 
-def _cmd_amp_run(args) -> int:
-    names = [
-        "n", "big_n", "k", "amplitude", "fixed_sign", "prior", "sigma_w_sq", "seed",
-        "policy", "gamma", "beta", "tau", "amp_iters", "conv_tol",
-    ]
-    opts = _resolve(args, names)
-    from .instances import sample_instance
-
+def _cmd_amp_run(opts, out):
     instance = sample_instance(_instance_config(opts))
-    if opts["policy"] == "fixed-detection":
-        if opts["gamma"] is None:
-            raise ConfigError("fixed-detection needs --gamma")
-        policy = FixedDetection(opts["gamma"])
-    elif opts["policy"] == "fixed-false-alarm":
-        if opts["beta"] is None:
-            raise ConfigError("fixed-false-alarm needs --beta")
-        policy = FixedFalseAlarm(opts["beta"])
-    elif opts["policy"] == "fixed-threshold":
-        if opts["tau"] is None:
-            raise ConfigError("fixed-threshold needs --tau")
-        policy = FixedThreshold(opts["tau"])
-    else:
+    if opts["policy"] not in _POLICIES:
         raise ConfigError(f"unknown policy {opts['policy']!r}")
+    policy_class, param = _POLICIES[opts["policy"]]
+    if opts[param] is None:
+        raise ConfigError(f"{opts['policy']} needs {_flag(param)}")
+    policy = policy_class(opts[param])
     _, trace = amp_run(
         instance, policy, max_iter=opts["amp_iters"], conv_tol=opts["conv_tol"],
         # the Gaussianity statistics need at least 100 samples; below that
@@ -229,16 +214,10 @@ def _cmd_amp_run(args) -> int:
     header = ("t", "tau", "active_count", "residual_norm", "mse", "kurtosis", "ks")
     rows = zip(trace.t, trace.tau, trace.active_count, trace.residual_norm,
                trace.mse, trace.kurtosis, trace.ks)
-    _write_csv(args.out, header, rows)
-    return 0
+    _write_csv(out, header, rows)
 
 
-def _cmd_sweep(args) -> int:
-    names = [
-        "n", "big_n", "k", "amplitude", "fixed_sign", "prior", "sigma_w_sq", "seed",
-        "lambda_min", "lambda_max", "lambda_points", "solver", "tol", "amp_iters",
-    ]
-    opts = _resolve(args, names)
+def _cmd_sweep(opts, out):
     grid = tuple(np.linspace(opts["lambda_min"], opts["lambda_max"], opts["lambda_points"]))
     cfg = experiments.SweepConfig(
         instance=_instance_config(opts),
@@ -250,16 +229,10 @@ def _cmd_sweep(args) -> int:
     rows = experiments.lambda_sweep_empirical(cfg)
     header = ("lambda", "empirical_mse", "se_mse", "empirical_dr", "se_dr",
               "kkt_residual", "converged")
-    _write_csv(args.out, header, [[r[h] for h in header] for r in rows])
-    return 0
+    _write_csv(out, header, [[r[h] for h in header] for r in rows])
 
 
-def _cmd_phase_transition(args) -> int:
-    names = [
-        "big_n", "delta_min", "delta_max", "delta_points", "rho_points", "trials",
-        "gamma", "tol", "amp_iters", "band_lo", "band_hi", "seed", "display_out",
-    ]
-    opts = _resolve(args, names)
+def _cmd_phase_transition(opts, out):
     cfg = experiments.PhaseGridConfig(
         n_signal=opts["big_n"],
         delta_grid=tuple(np.linspace(opts["delta_min"], opts["delta_max"], opts["delta_points"])),
@@ -276,15 +249,15 @@ def _cmd_phase_transition(args) -> int:
     for di, delta in enumerate(grid.delta_values):
         for ri in range(grid.rho_values.shape[1]):
             rows.append((delta, grid.rho_values[di, ri], grid.success[di, ri], grid.theory_rho[di]))
-    _write_csv(args.out, ("delta", "rho", "success", "rho_theory"), rows)
+    _write_csv(out, ("delta", "rho", "success", "rho_theory"), rows)
     if opts["display_out"]:
         display_rho, matrix = experiments.interpolate_display_grid(grid)
         header = ["rho"] + [f"{d:.17g}" for d in grid.delta_values]
         out_rows = [(r, *matrix[i]) for i, r in enumerate(display_rho)]
         _write_csv(opts["display_out"], header, out_rows)
-    return 0
 
 
+# subcommand -> (handler(opts, out), the options it reads)
 _COMMANDS = {
     "se-solve": (_cmd_se_solve, ["delta", "sigma_w_sq", "prior", "lam", "beta", "gamma"]),
     "lasso-path": (
@@ -323,10 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command][0]
+    handler, names = _COMMANDS[args.command]
     try:
-        return handler(args)
-    except (ConfigError, ValueError) as exc:
+        handler(_resolve(args, names), args.out)
+        return 0
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

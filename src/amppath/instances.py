@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .exceptions import ConfigError, DimensionError
 from .priors import Prior
 from .rng import open_uniform, standard_normal, substreams
 
@@ -166,14 +166,24 @@ def load_instance(path) -> ProblemInstance:
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not an instance dump")
-        n, N, seed, echo_len = struct.unpack("<QQQI", fh.read(28))
+        header = fh.read(28)
+        if len(header) != 28:
+            raise ValueError(f"{path}: truncated header")
+        n, N, seed, echo_len = struct.unpack("<QQQI", header)
         echo = json.loads(fh.read(echo_len).decode("utf-8"))
-        sig = echo["signal"]
-        if sig["type"] == "sparse":
-            signal = SparseSpec(sig["k"], sig["amplitude"], sig["random_sign"])
-        else:
-            signal = Prior(tuple((v, w) for v, w in sig["atoms"]))
-        cfg = InstanceConfig(n, N, signal, echo["noise_variance"], seed)
+        if not isinstance(echo, dict) or (
+            (echo.get("n_rows"), echo.get("n_cols"), echo.get("seed")) != (n, N, seed)
+        ):
+            raise ValueError(f"{path}: config echo does not match the header")
+        try:
+            sig = echo["signal"]
+            if sig["type"] == "sparse":
+                signal = SparseSpec(sig["k"], sig["amplitude"], sig["random_sign"])
+            else:
+                signal = Prior(tuple((v, w) for v, w in sig["atoms"]))
+            cfg = InstanceConfig(n, N, signal, echo["noise_variance"], seed)
+        except (KeyError, TypeError, ConfigError) as exc:
+            raise ValueError(f"{path}: malformed config echo") from exc
         data = np.frombuffer(fh.read(), dtype="<f8")
     sizes = [n * N, N, n, n]
     if data.size != sum(sizes):

@@ -50,6 +50,15 @@ def _objective(r: np.ndarray, x: np.ndarray, lam: float) -> float:
     return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
 
 
+def _kkt_violation(g: np.ndarray, x: np.ndarray, lam: float) -> float:
+    # the violation kkt_residual documents, from a gradient g = A^T (y - A x)
+    # the caller already holds
+    on = x != 0.0
+    viol_on = np.max(np.abs(g[on] - lam * np.sign(x[on]))) if np.any(on) else 0.0
+    viol_off = np.max(np.maximum(np.abs(g[~on]) - lam, 0.0)) if np.any(~on) else 0.0
+    return float(max(viol_on, viol_off)) / lam
+
+
 def kkt_residual(instance: ProblemInstance, lam: float, x_hat: np.ndarray) -> float:
     """Normalized violation of the subgradient optimality conditions.
 
@@ -58,11 +67,7 @@ def kkt_residual(instance: ProblemInstance, lam: float, x_hat: np.ndarray) -> fl
     """
     if lam <= 0.0:
         raise RangeError(f"lambda must be > 0 for the KKT certificate, got {lam}")
-    g = instance.A.T @ (instance.y - instance.A @ x_hat)
-    on = x_hat != 0.0
-    viol_on = np.max(np.abs(g[on] - lam * np.sign(x_hat[on]))) if np.any(on) else 0.0
-    viol_off = np.max(np.maximum(np.abs(g[~on]) - lam, 0.0)) if np.any(~on) else 0.0
-    return float(max(viol_on, viol_off)) / lam
+    return _kkt_violation(instance.A.T @ (instance.y - instance.A @ x_hat), x_hat, lam)
 
 
 def lasso_solve(
@@ -84,6 +89,8 @@ def lasso_solve(
     """
     if lam < 0.0:
         raise RangeError(f"lambda must be >= 0, got {lam}")
+    if kkt_every < 1:
+        raise RangeError(f"kkt_every must be >= 1, got {kkt_every}")
     A, y = instance.A, instance.y
     L = power_iteration_sq_norm(A) if lipschitz is None else float(lipschitz)
     if L <= 0.0:
@@ -125,13 +132,7 @@ def lasso_solve(
 
         if k % kkt_every == 0 or k == max_iter:
             g = A.T @ (-r)
-            if lam > 0.0:
-                on = x != 0.0
-                viol_on = np.max(np.abs(g[on] - lam * np.sign(x[on]))) if np.any(on) else 0.0
-                viol_off = np.max(np.maximum(np.abs(g[~on]) - lam, 0.0)) if np.any(~on) else 0.0
-                residual = float(max(viol_on, viol_off)) / lam
-            else:
-                residual = float(np.max(np.abs(g)))
+            residual = _kkt_violation(g, x, lam) if lam > 0.0 else float(np.max(np.abs(g)))
             if residual <= tol:
                 converged = True
                 break

@@ -183,10 +183,10 @@ def _unit_atom_risk(mu: float, tau: float) -> float:
 
 
 def _check_sigma_theta(sigma: float, theta: float):
-    if sigma <= 0.0:
-        raise RangeError(f"sigma must be > 0, got {sigma}")
-    if theta < 0.0:
-        raise RangeError(f"theta must be >= 0, got {theta}")
+    if not 0.0 < sigma < math.inf:
+        raise RangeError(f"sigma must be finite and > 0, got {sigma}")
+    if not 0.0 <= theta < math.inf:
+        raise RangeError(f"theta must be finite and >= 0, got {theta}")
 
 
 def atom_risk(x: float, sigma: float, theta: float) -> float:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from scipy.optimize import brentq
 
 from .exceptions import BracketFailure, NegativeLambda, NonConvergence, RangeError
-from .policies import FixedDetection, FixedFalseAlarm, FixedThreshold, ThresholdPolicy
+from .policies import ThresholdPolicy, solve_tau_for_detection
 from .priors import (
     Prior,
     PsiParams,
@@ -51,8 +51,8 @@ class SEModel:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise RangeError(f"delta must be in (0, 1), got {self.delta}")
-        if self.sigma_w_sq <= 0.0:
-            raise RangeError(f"sigma_w_sq must be > 0, got {self.sigma_w_sq}")
+        if not 0.0 < self.sigma_w_sq < math.inf:
+            raise RangeError(f"sigma_w_sq must be finite and > 0, got {self.sigma_w_sq}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,8 @@ def solve_sigma_for_beta(model: SEModel, beta: float, sigma_sq0: float | None = 
     NonConvergence when the map has no fixed point (beta below the
     contraction threshold) or the iteration cap is exceeded.
     """
-    if beta < 0.0:
-        raise RangeError(f"beta must be >= 0, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise RangeError(f"beta must be finite and >= 0, got {beta}")
     params = PsiParams(model.delta, model.sigma_w_sq, model.prior, beta)
     g = lambda s: psi_map(s, params)
     if sigma_sq0 is None:
@@ -171,32 +171,38 @@ def _critical_beta(delta: float) -> float:
     return brentq(lambda b: _zero_prior_unit_risk(b) - delta, 0.0, _BETA_MAX, xtol=1e-13)
 
 
-@lru_cache(maxsize=None)
-def _beta_zero_lambda(model: SEModel) -> float:
-    """beta of the lambda = 0 boundary, where detection equals delta.
+def _bisect_beta(model: SEModel, gamma: float, rtol: float) -> float:
+    """Smallest beta, to relative width rtol, whose survivor fraction
+    detection/delta lies below gamma.
 
-    Bisection on [critical beta, BETA_MAX]; a NonConvergence at the probe
-    point means the map diverges there, which sits on the same side as
-    gamma > 1, so the probe is folded into the left branch.
+    Bisection on [critical beta, BETA_MAX], using that the survivor
+    fraction decreases in beta; a NonConvergence at the probe point means
+    the map diverges there, which sits on the same side as a fraction
+    above gamma, so the probe is folded into the left branch.
     """
     lo = _critical_beta(model.delta)
     hi = _BETA_MAX
-    point_hi = _point_at_beta(model, hi)
-    if point_hi.gamma >= 1.0:
-        raise BracketFailure("detection exceeds delta over the whole beta range")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         try:
             gamma_mid = _point_at_beta(model, mid).gamma
         except NonConvergence:
             gamma_mid = math.inf
-        if gamma_mid >= 1.0:
+        if gamma_mid >= gamma:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
+        if hi - lo <= rtol * max(1.0, hi):
             break
     return hi
+
+
+@lru_cache(maxsize=None)
+def _beta_zero_lambda(model: SEModel) -> float:
+    """beta of the lambda = 0 boundary, where detection equals delta."""
+    if _point_at_beta(model, _BETA_MAX).gamma >= 1.0:
+        raise BracketFailure("detection exceeds delta over the whole beta range")
+    return _bisect_beta(model, 1.0, 1e-14)
 
 
 def beta_of_lambda(model: SEModel, lam: float) -> SEPoint:
@@ -205,8 +211,8 @@ def beta_of_lambda(model: SEModel, lam: float) -> SEPoint:
     Root-find on beta in [beta(lambda=0), 50]; raises BracketFailure when
     lam lies beyond lambda(50).
     """
-    if lam < 0.0:
-        raise RangeError(f"lambda must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise RangeError(f"lambda must be finite and >= 0, got {lam}")
     beta_lo = _beta_zero_lambda(model)
     if lam == 0.0:
         return lambda_of_beta(model, beta_lo)
@@ -227,24 +233,6 @@ def beta_of_lambda(model: SEModel, lam: float) -> SEPoint:
     return lambda_of_beta(model, beta)
 
 
-def solve_tau_for_detection(prior: Prior, sigma: float, target: float) -> float:
-    """Threshold with P(|X + sigma*Z| > tau) = target, target in (0, 1).
-
-    detection_prob is continuous and strictly decreasing in tau, so the
-    root is unique; the bracket extends past the largest atom so it holds
-    even when the atoms dominate the noise scale.
-    """
-    if not 0.0 < target < 1.0:
-        raise RangeError(f"detection target must be in (0, 1), got {target}")
-    hi = 50.0 * sigma + prior.max_abs_value
-    return brentq(
-        lambda t: detection_prob(prior, sigma, t) - target,
-        0.0,
-        hi,
-        xtol=1e-14,
-    )
-
-
 def calibrate_gamma(model: SEModel, gamma: float, method: str = "bisect") -> SEPoint:
     """State-evolution point with survivor fraction detection/delta = gamma.
 
@@ -256,21 +244,7 @@ def calibrate_gamma(model: SEModel, gamma: float, method: str = "bisect") -> SEP
     if not 0.0 < gamma < 1.0:
         raise RangeError(f"gamma must be in (0, 1), got {gamma}")
     if method == "bisect":
-        lo = _critical_beta(model.delta)
-        hi = _BETA_MAX
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            try:
-                gamma_mid = _point_at_beta(model, mid).gamma
-            except NonConvergence:
-                gamma_mid = math.inf
-            if gamma_mid >= gamma:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, hi):
-                break
-        return _point_at_beta(model, hi)
+        return _point_at_beta(model, _bisect_beta(model, gamma, 1e-15))
     if method == "alternate":
         target = gamma * model.delta
         tau_of = lambda s: solve_tau_for_detection(model.prior, math.sqrt(s), target)
@@ -307,30 +281,24 @@ def lasso_path(model: SEModel, lambda_grid) -> list[SEPoint]:
     return [beta_of_lambda(model, lam) for lam in grid]
 
 
-def _policy_threshold(policy: ThresholdPolicy, prior: Prior, sigma: float, delta: float) -> float:
-    if isinstance(policy, FixedFalseAlarm):
-        return policy.beta * sigma
-    if isinstance(policy, FixedThreshold):
-        return policy.tau
-    if isinstance(policy, FixedDetection):
-        return solve_tau_for_detection(prior, sigma, policy.gamma * delta)
-    raise RangeError(f"unknown policy {policy!r}")
-
-
 def se_trajectory(model: SEModel, policy: ThresholdPolicy, t_max: int) -> SETrajectory:
     """Iterate the variance recursion t_max times from sigma_0^2 = E[X^2]/delta.
 
     Record t carries the noise level sigma_t and the threshold tau_t the
     policy picks at that level; sigma_{t+1}^2 folds the resulting risk back
-    through the noise floor.
+    through the noise floor.  NonConvergence when sigma_t^2 overflows (a
+    policy whose recursion has no fixed point, e.g. too low a threshold at
+    small delta).
     """
     if t_max < 1:
         raise RangeError(f"t_max must be >= 1, got {t_max}")
     sigmas, taus = [], []
     s = model.prior.second_moment / model.delta
     for _ in range(t_max + 1):
+        if not s < math.inf:
+            raise NonConvergence("variance recursion diverged")
         sigma = math.sqrt(max(s, _SIGMA_FLOOR**2))
-        tau = _policy_threshold(policy, model.prior, sigma, model.delta)
+        tau = policy.se_tau(model.prior, sigma, model.delta)
         sigmas.append(sigma)
         taus.append(tau)
         s = model.sigma_w_sq + risk(model.prior, sigma, tau) / model.delta

@@ -185,6 +185,42 @@ class TestErrorPaths:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["se-solve", "--sigma-w-sq", "nan", "--beta", "1.5"],
+            ["se-solve", "--sigma-w-sq", "inf", "--beta", "1.5"],
+            ["se-solve", "--beta", "nan"],
+            ["se-solve", "--beta", "inf"],
+            ["se-solve", "--lambda", "nan"],
+            ["se-solve", "--lambda", "inf"],
+            ["lasso-path", "--lambda-min", "nan"],
+            ["risk-curve", "--sigma", "nan"],
+            ["risk-curve", "--sigma", "inf"],
+            ["risk-curve", "--tau-max", "inf"],
+        ],
+        ids=lambda args: "-".join(a.lstrip("-") for a in args[:3]),
+    )
+    def test_non_finite_scalar_is_config_error(self, tmp_path, capsys, args):
+        code, out = run(tmp_path, "nonfinite", *args)
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--config", "{tmp}/missing.cfg"],
+            ["--config", "{tmp}"],
+            ["--out", "{tmp}/missing/out.csv"],
+        ],
+        ids=["config-missing", "config-directory", "out-missing-directory"],
+    )
+    def test_file_error_is_config_error(self, tmp_path, capsys, args):
+        argv = ["se-solve", "--beta", "1.5", args[0], args[1].format(tmp=tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_amp_run_below_gaussianity_sample_size(self, tmp_path):
         # N < 100 is too short for the Gaussianity statistics: NaN columns, exit 0
         code, out = run(

@@ -38,6 +38,11 @@ class TestPowerIteration:
 
 
 class TestLassoSolve:
+    @pytest.mark.parametrize("kkt_every", [0, -1])
+    def test_kkt_every_validation(self, kkt_every):
+        with pytest.raises(RangeError):
+            lasso_solve(make_instance(), 0.1, kkt_every=kkt_every)
+
     def test_zero_solution_for_large_lambda(self):
         inst = make_instance()
         lam_max = np.max(np.abs(inst.A.T @ inst.y))

@@ -234,6 +234,13 @@ class TestSETrajectory:
         traj = se_trajectory(golden_model, FixedThreshold(0.9), 50)
         assert all(t == 0.9 for t in traj.tau)
 
+    @pytest.mark.parametrize("policy", [FixedThreshold(0.0), FixedFalseAlarm(0.5)])
+    def test_divergence_is_solver_error(self, policy):
+        # at delta 0.1 a low threshold lets sigma_t^2 grow ~10x per step until it overflows
+        model = SEModel(0.1, 0.1, sparse_prior(0.1))
+        with pytest.raises(NonConvergence):
+            se_trajectory(model, policy, 2000)
+
     def test_rejects_bad_t_max(self, golden_model):
         with pytest.raises(RangeError):
             se_trajectory(golden_model, FixedDetection(0.4), 0)
