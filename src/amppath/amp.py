@@ -26,6 +26,8 @@ from .policies import ThresholdPolicy
 # re-exported because benchmark/tracer.py times amppath.amp.fixed_detection_tau
 from .policies import fixed_detection_tau  # noqa: F401
 
+_GAUSSIANITY_MIN_SAMPLES = 100
+
 
 @dataclass(frozen=True)
 class AmpState:
@@ -47,7 +49,7 @@ class AmpTrace:
     """Row t describes iteration t: the threshold tau_t applied to
     x_t + A^T z_t, the support size and MSE of the resulting x_{t+1},
     the residual scale ||z_t||/sqrt(n), and Gaussianity diagnostics of
-    v_t = x_t + A^T z_t - x_o (NaN unless requested)."""
+    v_t = x_t + A^T z_t - x_o (NaN unless requested and N >= 100)."""
 
     t: np.ndarray
     tau: np.ndarray
@@ -67,8 +69,8 @@ def gaussianity_stats(v: np.ndarray) -> tuple[float, float]:
     Returns (nan, nan) for a degenerate (zero-variance) sample.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.size < 100:
-        raise RangeError(f"need at least 100 samples, got {v.size}")
+    if v.size < _GAUSSIANITY_MIN_SAMPLES:
+        raise RangeError(f"need at least {_GAUSSIANITY_MIN_SAMPLES} samples, got {v.size}")
     mean = float(np.mean(v))
     std = float(np.std(v))
     if std == 0.0 or not math.isfinite(std):
@@ -101,7 +103,8 @@ def amp_run(
 
     With trace=False no per-iteration rows are computed (compute_gaussianity
     is then ignored) and the trace returned is None; the final state is the
-    same bit for bit.
+    same bit for bit.  Below N = 100 coordinates compute_gaussianity is
+    ignored too: the Gaussianity statistics need 100 samples.
     """
     if max_iter < 1:
         raise RangeError(f"max_iter must be >= 1, got {max_iter}")
@@ -110,6 +113,7 @@ def amp_run(
     n, N = A.shape
     sqrt_n = math.sqrt(n)
     limit = 1e12 * max(float(np.linalg.norm(y)), 1.0)
+    gaussianity = compute_gaussianity and N >= _GAUSSIANITY_MIN_SAMPLES
     rows = []
 
     # every vector lives in a buffer allocated once; x/x_new and z/z_prev
@@ -143,7 +147,7 @@ def amp_run(
         new_active = int(np.count_nonzero(x_new))
 
         if trace:
-            if compute_gaussianity:
+            if gaussianity:
                 kurt, ks = gaussianity_stats(u - x_o)
             else:
                 kurt, ks = math.nan, math.nan

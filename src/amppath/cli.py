@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -40,7 +41,7 @@ _OPTIONS = {
     "delta": (float, 0.5, "undersampling ratio n/N"),
     "sigma_w_sq": (float, 0.2, "noise variance"),
     "prior": (str, "0.9:0,0.05:1,0.05:-1", "signal prior, weight:value tokens"),
-    "lam": (float, None, "LASSO regularization level"),
+    "lambda": (float, None, "LASSO regularization level"),
     "beta": (float, None, "threshold per unit of effective noise"),
     "gamma": (float, None, "survivor fraction of n kept active"),
     "tau": (float, None, "fixed threshold value"),
@@ -72,8 +73,6 @@ _OPTIONS = {
     "display_out": (str, "", "optional CSV path for the interpolated display grid"),
 }
 
-_FLAG_NAMES = {"lam": "--lambda", "big_n": "--big-n"}
-
 # policy name -> (policy class, the option holding its one parameter)
 _POLICIES = {
     "fixed-detection": (FixedDetection, "gamma"),
@@ -83,7 +82,7 @@ _POLICIES = {
 
 
 def _flag(name: str) -> str:
-    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+    return "--" + name.replace("_", "-")
 
 
 def _add_options(sub: argparse.ArgumentParser, names: list[str]):
@@ -99,15 +98,10 @@ def _read_config_file(path: str) -> dict:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            for sep in ("=", ":"):
-                if sep in line:
-                    key, _, raw = line.partition(sep)
-                    break
-            else:
+            key, sep, raw = line.partition("=")
+            if not sep:
                 raise ValueError(f"{path}:{line_no}: expected key = value")
             key = key.strip().replace("-", "_")
-            if key == "lambda":
-                key = "lam"
             if key not in _OPTIONS:
                 raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
             values[key] = _OPTIONS[key][0](raw.strip())
@@ -121,8 +115,19 @@ def _resolve(args: argparse.Namespace, names: list[str]) -> dict:
         value = getattr(args, name)
         if value is None:
             value = file_values.get(name, _OPTIONS[name][1])
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{_flag(name)} must be finite, got {value}")
         out[name] = value
     return out
+
+
+def _grid(opts, name: str) -> np.ndarray:
+    """The evenly spaced --<name>-min .. --<name>-max grid of
+    --<name>-points values."""
+    points = opts[f"{name}_points"]
+    if points < 1:
+        raise ConfigError(f"{_flag(name + '_points')} must be >= 1, got {points}")
+    return np.linspace(opts[f"{name}_min"], opts[f"{name}_max"], points)
 
 
 def _fmt(value) -> str:
@@ -154,11 +159,11 @@ def _build_model(opts) -> SEModel:
 
 def _cmd_se_solve(opts, out):
     model = _build_model(opts)
-    given = [k for k in ("lam", "beta", "gamma") if opts[k] is not None]
+    given = [k for k in ("lambda", "beta", "gamma") if opts[k] is not None]
     if len(given) != 1:
         raise ConfigError("pass exactly one of --lambda, --beta, --gamma")
-    if given[0] == "lam":
-        point = beta_of_lambda(model, opts["lam"])
+    if given[0] == "lambda":
+        point = beta_of_lambda(model, opts["lambda"])
     elif given[0] == "beta":
         point = lambda_of_beta(model, opts["beta"])
     else:
@@ -168,17 +173,15 @@ def _cmd_se_solve(opts, out):
 
 def _cmd_lasso_path(opts, out):
     model = _build_model(opts)
-    grid = np.linspace(opts["lambda_min"], opts["lambda_max"], opts["lambda_points"])
-    points = lasso_path(model, grid)
+    points = lasso_path(model, _grid(opts, "lambda"))
     _write_csv(out, SE_COLUMNS, [_se_row(p) for p in points])
 
 
 def _cmd_risk_curve(opts, out):
     prior = parse_prior(opts["prior"])
-    grid = np.linspace(opts["tau_min"], opts["tau_max"], opts["tau_points"])
     rows = [
         (t, risk(prior, opts["sigma"], t), risk_derivative(prior, opts["sigma"], t))
-        for t in grid
+        for t in _grid(opts, "tau")
     ]
     _write_csv(out, ("tau", "risk", "risk_derivative"), rows)
 
@@ -198,18 +201,16 @@ def _instance_config(opts) -> InstanceConfig:
 
 
 def _cmd_amp_run(opts, out):
-    instance = sample_instance(_instance_config(opts))
     if opts["policy"] not in _POLICIES:
         raise ConfigError(f"unknown policy {opts['policy']!r}")
     policy_class, param = _POLICIES[opts["policy"]]
     if opts[param] is None:
         raise ConfigError(f"{opts['policy']} needs {_flag(param)}")
     policy = policy_class(opts[param])
+    instance = sample_instance(_instance_config(opts))
     _, trace = amp_run(
         instance, policy, max_iter=opts["amp_iters"], conv_tol=opts["conv_tol"],
-        # the Gaussianity statistics need at least 100 samples; below that
-        # the kurtosis and ks columns stay NaN
-        compute_gaussianity=instance.A.shape[1] >= 100,
+        compute_gaussianity=True,
     )
     header = ("t", "tau", "active_count", "residual_norm", "mse", "kurtosis", "ks")
     rows = zip(trace.t, trace.tau, trace.active_count, trace.residual_norm,
@@ -218,10 +219,9 @@ def _cmd_amp_run(opts, out):
 
 
 def _cmd_sweep(opts, out):
-    grid = tuple(np.linspace(opts["lambda_min"], opts["lambda_max"], opts["lambda_points"]))
     cfg = experiments.SweepConfig(
         instance=_instance_config(opts),
-        lambda_grid=grid,
+        lambda_grid=tuple(_grid(opts, "lambda")),
         solver=opts["solver"],
         solver_tol=opts["tol"] if opts["tol"] is not None else 1e-6,
         amp_max_iter=opts["amp_iters"],
@@ -235,7 +235,7 @@ def _cmd_sweep(opts, out):
 def _cmd_phase_transition(opts, out):
     cfg = experiments.PhaseGridConfig(
         n_signal=opts["big_n"],
-        delta_grid=tuple(np.linspace(opts["delta_min"], opts["delta_max"], opts["delta_points"])),
+        delta_grid=tuple(_grid(opts, "delta")),
         rho_band=(opts["band_lo"], opts["band_hi"]),
         rho_points=opts["rho_points"],
         trials=opts["trials"],
@@ -259,7 +259,7 @@ def _cmd_phase_transition(opts, out):
 
 # subcommand -> (handler(opts, out), the options it reads)
 _COMMANDS = {
-    "se-solve": (_cmd_se_solve, ["delta", "sigma_w_sq", "prior", "lam", "beta", "gamma"]),
+    "se-solve": (_cmd_se_solve, ["delta", "sigma_w_sq", "prior", "lambda", "beta", "gamma"]),
     "lasso-path": (
         _cmd_lasso_path,
         ["delta", "sigma_w_sq", "prior", "lambda_min", "lambda_max", "lambda_points"],

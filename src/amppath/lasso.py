@@ -139,7 +139,7 @@ def lasso_solve(
 
     return LassoResult(
         x_hat=x,
-        objective=_objective(A @ x - y, x, lam),
+        objective=obj,
         kkt_residual=residual,
         iterations=iterations,
         converged=converged,

@@ -22,16 +22,8 @@ from functools import lru_cache
 from scipy.optimize import brentq
 
 from .exceptions import BracketFailure, NegativeLambda, NonConvergence, RangeError
-from .policies import ThresholdPolicy, solve_tau_for_detection
-from .priors import (
-    Prior,
-    PsiParams,
-    detection_prob,
-    psi_map,
-    risk,
-    std_normal_cdf,
-    std_normal_pdf,
-)
+from .policies import FixedDetection, ThresholdPolicy
+from .priors import Prior, PsiParams, atom_risk, detection_prob, psi_map, risk
 
 _MAX_FP_ITERS = 10_000
 _FP_RTOL = 1e-13
@@ -105,7 +97,12 @@ def _fixed_point(g, s0: float, rtol: float = _FP_RTOL) -> float:
         denom = s2 - 2.0 * s1 + s
         s_next = s2
         if denom != 0.0:
-            accel = s - (s1 - s) ** 2 / denom
+            # ``** 2``, not a product: the two can round apart, and a product
+            # would move output bits; an overflowing square gives no step
+            try:
+                accel = s - (s1 - s) ** 2 / denom
+            except OverflowError:
+                accel = math.nan
             if math.isfinite(accel) and accel > 0.0:
                 s_next = accel
         if not math.isfinite(s_next) or s_next > 1e30:
@@ -134,14 +131,17 @@ def solve_sigma_for_beta(model: SEModel, beta: float, sigma_sq0: float | None = 
     return math.sqrt(s)
 
 
-def _point_at_beta(model: SEModel, beta: float) -> SEPoint:
-    sigma_hat = solve_sigma_for_beta(model, beta)
-    tau = beta * sigma_hat
+def _se_point(model: SEModel, sigma_hat: float, beta: float, tau: float) -> SEPoint:
     det = detection_prob(model.prior, sigma_hat, tau)
     gamma = det / model.delta
     lam = tau * (1.0 - gamma)
     mse = risk(model.prior, sigma_hat, tau)
     return SEPoint(sigma_hat, beta, tau, lam, gamma, mse, det)
+
+
+def _point_at_beta(model: SEModel, beta: float) -> SEPoint:
+    sigma_hat = solve_sigma_for_beta(model, beta)
+    return _se_point(model, sigma_hat, beta, beta * sigma_hat)
 
 
 def lambda_of_beta(model: SEModel, beta: float) -> SEPoint:
@@ -158,17 +158,11 @@ def lambda_of_beta(model: SEModel, beta: float) -> SEPoint:
     return point
 
 
-def _zero_prior_unit_risk(beta: float) -> float:
-    # Unit-noise risk of the pure-noise prior; its value against delta
-    # decides whether the variance map contracts at infinity.
-    return 2.0 * ((1.0 + beta * beta) * std_normal_cdf(-beta) - beta * std_normal_pdf(beta))
-
-
-@lru_cache(maxsize=None)
 def _critical_beta(delta: float) -> float:
     # Below this beta the variance map grows faster than the identity and
-    # has no fixed point.
-    return brentq(lambda b: _zero_prior_unit_risk(b) - delta, 0.0, _BETA_MAX, xtol=1e-13)
+    # has no fixed point: the unit-noise risk of a zero signal, which the
+    # map follows at large sigma, exceeds delta.
+    return brentq(lambda b: atom_risk(0.0, 1.0, b) - delta, 0.0, _BETA_MAX, xtol=1e-13)
 
 
 def _bisect_beta(model: SEModel, gamma: float, rtol: float) -> float:
@@ -246,23 +240,17 @@ def calibrate_gamma(model: SEModel, gamma: float, method: str = "bisect") -> SEP
     if method == "bisect":
         return _point_at_beta(model, _bisect_beta(model, gamma, 1e-15))
     if method == "alternate":
-        target = gamma * model.delta
-        tau_of = lambda s: solve_tau_for_detection(model.prior, math.sqrt(s), target)
-        g = lambda s: model.sigma_w_sq + risk(model.prior, math.sqrt(s), tau_of(s)) / model.delta
+        policy = FixedDetection(gamma)
+
+        def g(s):
+            sigma = math.sqrt(s)
+            tau = policy.se_tau(model.prior, sigma, model.delta)
+            return model.sigma_w_sq + risk(model.prior, sigma, tau) / model.delta
+
         s0 = model.sigma_w_sq + model.prior.second_moment / model.delta
-        s = _fixed_point(g, s0, rtol=1e-14)
-        sigma_hat = math.sqrt(s)
-        tau = solve_tau_for_detection(model.prior, sigma_hat, target)
-        det = detection_prob(model.prior, sigma_hat, tau)
-        return SEPoint(
-            sigma_hat=sigma_hat,
-            beta=tau / sigma_hat,
-            tau=tau,
-            lam=tau * (1.0 - gamma),
-            gamma=det / model.delta,
-            mse=risk(model.prior, sigma_hat, tau),
-            detection=det,
-        )
+        sigma_hat = math.sqrt(_fixed_point(g, s0, rtol=1e-14))
+        tau = policy.se_tau(model.prior, sigma_hat, model.delta)
+        return _se_point(model, sigma_hat, tau / sigma_hat, tau)
     raise RangeError(f"unknown method {method!r}")
 
 

@@ -228,6 +228,13 @@ class TestAmpRun:
         )
         assert np.all(np.isfinite(on.ks))
 
+    def test_gaussianity_needs_100_coordinates(self):
+        inst = make_instance(seed=15, k=3, noise=0.1, n=30, N=60)
+        _, trace = amp_run(
+            inst, FixedDetection(0.3), max_iter=3, conv_tol=0.0, compute_gaussianity=True
+        )
+        assert np.all(np.isnan(trace.kurtosis)) and np.all(np.isnan(trace.ks))
+
     def test_convergence_stops_early(self):
         inst = make_instance(seed=30, k=5, noise=0.0, n=120, N=240)
         state, trace = amp_run(inst, FixedDetection(0.5), max_iter=500, conv_tol=1e-10)

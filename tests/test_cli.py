@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import amppath.cli
 from amppath.cli import main
 
 
@@ -74,6 +77,46 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_bytes()) > 0
+
+
+class TestPinnedOutput:
+    """SHA-256 digests of the CSVs of README commands, recorded once, so
+    that a change that moves an output bit fails here and not only across
+    two runs of one build.  These commands evaluate scalar ``math`` only;
+    the commands that multiply matrices (amp-run, sweep, phase-transition)
+    stay out, because their bytes depend on the BLAS build."""
+
+    README = ["--delta", "0.5", "--sigma-w-sq", "0.2", "--prior", "0.9:0,0.05:1,0.05:-1"]
+    DIGESTS = {
+        "se-lambda": (
+            ["se-solve", *README, "--lambda", "0.3"],
+            "2a8331a390cd585b2627dc1fe2825e9b65ef6587b5f8a763062355889a6cdbde",
+        ),
+        "se-beta": (
+            ["se-solve", *README, "--beta", "1.5"],
+            "27795b47dbccf3a054bc84f32d200e2f51bb0fe818561c67fc99ba72b1bdf290",
+        ),
+        "se-gamma": (
+            ["se-solve", *README, "--gamma", "0.4"],
+            "d124c80ece838f806c86f507b214a5518ca655bc643291f30ee3111393a74d8b",
+        ),
+        "lasso-path": (
+            ["lasso-path", "--delta", "0.5", "--sigma-w-sq", "0.2", "--lambda-min", "0.01",
+             "--lambda-max", "2", "--lambda-points", "100"],
+            "1528a049b9a1c56e02a29640fbc238bff9f501a3e50dee555dc2284e36f558a1",
+        ),
+        "risk-curve": (
+            ["risk-curve", "--prior", "1:1", "--tau-min", "0", "--tau-max", "6",
+             "--tau-points", "121"],
+            "8164fb74b229a496459e228d57b5f23126ffa94688b8e1d1d6a9607c18a3336d",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_output_digest(self, capsys, name):
+        args, digest = self.DIGESTS[name]
+        assert main(args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestCsvSchemas:
@@ -158,6 +201,26 @@ class TestConfigFile:
         code = main(["se-solve", "--config", str(cfg), "--beta", "1.5"])
         assert code == 2
 
+    def test_lambda_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda = 0.3\n")
+        _, from_file = run(tmp_path, "file", "se-solve", "--config", str(cfg))
+        _, from_flag = run(tmp_path, "flag", "se-solve", "--lambda", "0.3")
+        assert from_file.read_bytes() == from_flag.read_bytes()
+
+    @pytest.mark.parametrize("line", ["beta: 1.5", "beta 1.5"])
+    def test_only_equals_lines(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["se-solve", "--config", str(cfg)]) == 2
+        assert "expected key = value" in capsys.readouterr().err
+
+    def test_non_finite_file_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = nan\n")
+        assert main(["se-solve", "--config", str(cfg), "--beta", "1.5"]) == 2
+        assert "--delta must be finite" in capsys.readouterr().err
+
 
 class TestErrorPaths:
     def test_bad_prior_is_config_error(self, tmp_path):
@@ -198,14 +261,62 @@ class TestErrorPaths:
             ["risk-curve", "--sigma", "nan"],
             ["risk-curve", "--sigma", "inf"],
             ["risk-curve", "--tau-max", "inf"],
+            ["amp-run", "--conv-tol", "nan", "--n", "100", "--big-n", "200", "--k", "10",
+             "--gamma", "0.3"],
+            ["sweep", "--tol", "nan", "--n", "50", "--big-n", "100", "--k", "5",
+             "--lambda-points", "2"],
+            ["phase-transition", "--band-lo", "nan", "--big-n", "50", "--delta-points", "1",
+             "--rho-points", "2", "--trials", "1"],
         ],
         ids=lambda args: "-".join(a.lstrip("-") for a in args[:3]),
     )
     def test_non_finite_scalar_is_config_error(self, tmp_path, capsys, args):
         code, out = run(tmp_path, "nonfinite", *args)
         assert code == 2
-        assert "must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert "RuntimeWarning" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["risk-curve", "--tau-points", "0"],
+            ["lasso-path", "--lambda-points", "0"],
+            ["sweep", "--lambda-points", "0", "--n", "50", "--big-n", "100", "--k", "5"],
+            ["phase-transition", "--delta-points", "0", "--big-n", "50"],
+        ],
+        ids=lambda args: "-".join(a.lstrip("-") for a in args[:2]),
+    )
+    def test_empty_grid_is_config_error(self, tmp_path, capsys, args):
+        code, out = run(tmp_path, "empty", *args)
+        assert code == 2
+        assert "points must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["--delta", "0.5", "--sigma-w-sq", "1e300", "--beta", "1.5"], 3),
+            (["--delta", "0.5", "--sigma-w-sq", "1e300", "--gamma", "0.5"], 0),
+            (["--delta", "0.5", "--sigma-w-sq", "1e300", "--lambda", "1e-300"], 0),
+            (["--delta", "1e-300", "--sigma-w-sq", "1", "--lambda", "1e7"], 0),
+        ],
+        ids=["huge-noise-beta", "huge-noise-gamma", "huge-noise-lambda", "tiny-delta-lambda"],
+    )
+    def test_overflowing_aitken_step(self, tmp_path, args, expected):
+        # the square in the variance solver's Aitken step overflows here; the
+        # solver takes the plain step instead of ending in a traceback
+        code, _ = run(tmp_path, "overflow", "se-solve", *args)
+        assert code == expected
+
+    def test_amp_run_checks_policy_before_sampling(self, tmp_path, monkeypatch):
+        def no_sampling(config):
+            raise AssertionError("instance sampled before the policy was checked")
+
+        monkeypatch.setattr(amppath.cli, "sample_instance", no_sampling)
+        code, _ = run(tmp_path, "nogamma", "amp-run", "--n", "2000", "--big-n", "4000", "--k", "100")
+        assert code == 2
 
     @pytest.mark.parametrize(
         "args",

@@ -96,6 +96,14 @@ class TestSolveSigma:
         with pytest.raises(NonConvergence):
             solve_sigma_for_beta(model, 0.0)
 
+    def test_nonconvergence_when_aitken_square_overflows(self, golden_prior):
+        # at sigma_w_sq = 1e300 the squared step in the Aitken extrapolation
+        # overflows a double; the solver falls back to the plain step, which
+        # lies past its divergence bound
+        model = SEModel(0.5, 1e300, golden_prior)
+        with pytest.raises(NonConvergence, match="diverged"):
+            solve_sigma_for_beta(model, 1.5)
+
 
 class TestLambdaOfBeta:
     def test_golden_point(self, golden_model):
