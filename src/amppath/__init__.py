@@ -22,7 +22,6 @@ from .experiments import (
     model_for_instance,
     phase_transition_grid,
     rho_of_delta,
-    stojnic_curve,
 )
 from .instances import (
     InstanceConfig,
@@ -30,8 +29,6 @@ from .instances import (
     ProblemInstance,
     SparseSpec,
     compute_observables,
-    dump_instance,
-    load_instance,
     sample_instance,
 )
 from .lasso import LassoResult, kkt_residual, lasso_solve, power_iteration_sq_norm
@@ -42,7 +39,6 @@ from .policies import (
     ThresholdPolicy,
     fixed_detection_tau,
     fixed_false_alarm_tau,
-    median_abs_sigma,
     solve_tau_for_detection,
 )
 from .priors import (

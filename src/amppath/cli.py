@@ -127,7 +127,10 @@ def _grid(opts, name: str) -> np.ndarray:
     points = opts[f"{name}_points"]
     if points < 1:
         raise ConfigError(f"{_flag(name + '_points')} must be >= 1, got {points}")
-    return np.linspace(opts[f"{name}_min"], opts[f"{name}_max"], points)
+    lo, hi = opts[f"{name}_min"], opts[f"{name}_max"]
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"{_flag(name + '_max')} - {_flag(name + '_min')} overflows")
+    return np.linspace(lo, hi, points)
 
 
 def _fmt(value) -> str:
@@ -179,10 +182,12 @@ def _cmd_lasso_path(opts, out):
 
 def _cmd_risk_curve(opts, out):
     prior = parse_prior(opts["prior"])
-    rows = [
-        (t, risk(prior, opts["sigma"], t), risk_derivative(prior, opts["sigma"], t))
-        for t in _grid(opts, "tau")
-    ]
+    rows = []
+    for t in map(float, _grid(opts, "tau")):
+        row = (t, risk(prior, opts["sigma"], t), risk_derivative(prior, opts["sigma"], t))
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"risk curve is not finite in double precision at tau = {t!r}")
+        rows.append(row)
     _write_csv(out, ("tau", "risk", "risk_derivative"), rows)
 
 

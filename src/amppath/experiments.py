@@ -9,7 +9,7 @@ execution order and reproducible byte-for-byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -28,6 +28,8 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 
 def _curve_point(z: float) -> tuple[float, float]:
+    """(delta, rho) on the l1 phase-transition curve at parameter z > 0.
+    Both coordinates decrease strictly in z; z -> 0 gives (1, 1)."""
     if z <= 0.0:
         raise RangeError(f"curve parameter must be > 0, got {z}")
     # ratio z*(Phi(z) - 1/2)/phi(z), stable for all z > 0
@@ -37,14 +39,6 @@ def _curve_point(z: float) -> tuple[float, float]:
     # avoiding the 0/0 of tail-over-density at large z
     rho = 1.0 - z * _SQRT_HALF_PI * erfcx(z / math.sqrt(2.0))
     return delta, rho
-
-
-def stojnic_curve(z_grid) -> list[tuple[float, float]]:
-    """Parametric (delta, rho) samples of the l1 phase-transition curve.
-
-    Both coordinates decrease strictly in z; z -> 0 gives (1, 1).
-    """
-    return [_curve_point(float(z)) for z in z_grid]
 
 
 def rho_of_delta(delta: float) -> float:
@@ -76,6 +70,8 @@ class PhaseGridConfig:
             raise RangeError("delta grid must lie in (0, 1)")
         if self.trials < 1 or self.rho_points < 1:
             raise RangeError("need at least one trial and one rho point")
+        if not all(math.isfinite(v) for v in (*self.rho_band, self.tol)):
+            raise RangeError(f"rho band and tol must be finite, got {self.rho_band}, {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,6 @@ class PhaseGrid:
     rho_values: np.ndarray  # shape (n_delta, rho_points)
     success: np.ndarray  # shape (n_delta, rho_points)
     theory_rho: np.ndarray
-    config: PhaseGridConfig = field(repr=False, default=None)
 
 
 def _run_trial(N: int, n: int, k: int, gamma: float, max_iter: int, tol: float, seed: int) -> float:
@@ -130,7 +125,7 @@ def phase_transition_grid(cfg: PhaseGridConfig) -> PhaseGrid:
                 seed = trial_seed(cfg.base_seed, di, ri, trial)
                 hits += _run_trial(N, n, k, cfg.gamma, cfg.max_iter, cfg.tol, seed)
             success[di, ri] = hits / cfg.trials
-    return PhaseGrid(deltas, rho_values, success, theory, cfg)
+    return PhaseGrid(deltas, rho_values, success, theory)
 
 
 def estimate_half_success_rho(rhos, successes) -> float:
@@ -179,6 +174,8 @@ class SweepConfig:
             raise RangeError(f"unknown solver {self.solver!r}")
         if self.instance.noise_variance <= 0.0:
             raise RangeError("sweep needs noisy instances (state evolution assumes noise)")
+        if not math.isfinite(self.solver_tol):
+            raise RangeError(f"solver tol must be finite, got {self.solver_tol}")
 
 
 def model_for_instance(cfg: InstanceConfig) -> SEModel:

@@ -9,18 +9,15 @@ then read in this normalized convention).
 
 from __future__ import annotations
 
-import json
-import struct
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionError
+from .exceptions import DimensionError
 from .priors import Prior
 from .rng import open_uniform, standard_normal, substreams
-
-_MAGIC = b"AMPINST1"
 
 
 @dataclass(frozen=True)
@@ -46,20 +43,13 @@ class InstanceConfig:
             raise DimensionError(f"need positive dimensions, got {self.n_rows}x{self.n_cols}")
         if self.n_rows > self.n_cols:
             warnings.warn("n_rows > n_cols: not the undersampled regime", stacklevel=2)
-        if isinstance(self.signal, SparseSpec) and not 0 <= self.signal.k <= self.n_cols:
-            raise DimensionError(f"sparsity {self.signal.k} outside [0, {self.n_cols}]")
-        if self.noise_variance < 0.0:
-            raise DimensionError(f"noise variance must be >= 0, got {self.noise_variance}")
-
-    def signal_json(self) -> dict:
         if isinstance(self.signal, SparseSpec):
-            return {
-                "type": "sparse",
-                "k": self.signal.k,
-                "amplitude": self.signal.amplitude,
-                "random_sign": self.signal.random_sign,
-            }
-        return {"type": "prior", "atoms": [[v, w] for v, w in self.signal.atoms]}
+            if not 0 <= self.signal.k <= self.n_cols:
+                raise DimensionError(f"sparsity {self.signal.k} outside [0, {self.n_cols}]")
+            if not math.isfinite(self.signal.amplitude):
+                raise DimensionError(f"amplitude must be finite, got {self.signal.amplitude}")
+        if not 0.0 <= self.noise_variance < math.inf:
+            raise DimensionError(f"need finite noise variance >= 0, got {self.noise_variance}")
 
 
 @dataclass(frozen=True)
@@ -138,55 +128,3 @@ def compute_observables(x_hat, x_o, zero_tol: float = 0.0) -> Observables:
         dr=float(np.count_nonzero(detected)) / N,
         md=float(np.count_nonzero(~detected & truth_nonzero)) / N,
     )
-
-
-def dump_instance(path, instance: ProblemInstance) -> None:
-    """Binary dump: magic, (n, N, seed) as little-endian u64, a JSON config
-    echo, then A (row-major), x_o, w, y as little-endian float64."""
-    cfg = instance.config
-    echo = json.dumps(
-        {
-            "n_rows": cfg.n_rows,
-            "n_cols": cfg.n_cols,
-            "noise_variance": cfg.noise_variance,
-            "seed": cfg.seed,
-            "signal": cfg.signal_json(),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQQI", cfg.n_rows, cfg.n_cols, cfg.seed, len(echo)))
-        fh.write(echo)
-        for arr in (instance.A, instance.x_o, instance.w, instance.y):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_instance(path) -> ProblemInstance:
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path}: not an instance dump")
-        header = fh.read(28)
-        if len(header) != 28:
-            raise ValueError(f"{path}: truncated header")
-        n, N, seed, echo_len = struct.unpack("<QQQI", header)
-        echo = json.loads(fh.read(echo_len).decode("utf-8"))
-        if not isinstance(echo, dict) or (
-            (echo.get("n_rows"), echo.get("n_cols"), echo.get("seed")) != (n, N, seed)
-        ):
-            raise ValueError(f"{path}: config echo does not match the header")
-        try:
-            sig = echo["signal"]
-            if sig["type"] == "sparse":
-                signal = SparseSpec(sig["k"], sig["amplitude"], sig["random_sign"])
-            else:
-                signal = Prior(tuple((v, w) for v, w in sig["atoms"]))
-            cfg = InstanceConfig(n, N, signal, echo["noise_variance"], seed)
-        except (KeyError, TypeError, ConfigError) as exc:
-            raise ValueError(f"{path}: malformed config echo") from exc
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    sizes = [n * N, N, n, n]
-    if data.size != sum(sizes):
-        raise ValueError(f"{path}: truncated payload")
-    A, x_o, w, y = np.split(data, np.cumsum(sizes)[:-1])
-    return ProblemInstance(A=A.reshape(n, N).copy(), x_o=x_o.copy(), w=w.copy(), y=y.copy(), config=cfg)

@@ -56,12 +56,6 @@ def fixed_false_alarm_tau(z: np.ndarray, beta: float) -> float:
     return beta * float(np.linalg.norm(z)) / math.sqrt(n)
 
 
-def median_abs_sigma(u: np.ndarray) -> float:
-    """Median-magnitude noise estimate |u|_med / 0.6745 (biased upward by
-    the signal's nonzero entries; no policy uses it)."""
-    return float(np.median(np.abs(u))) / 0.6745
-
-
 def solve_tau_for_detection(prior: Prior, sigma: float, target: float) -> float:
     """Threshold with P(|X + sigma*Z| > tau) = target, target in (0, 1).
 

@@ -76,10 +76,6 @@ class SETrajectory:
     def __len__(self):
         return len(self.sigma)
 
-    @property
-    def sigma_sq(self) -> tuple[float, ...]:
-        return tuple(s * s for s in self.sigma)
-
 
 def _fixed_point(g, s0: float, rtol: float = _FP_RTOL) -> float:
     """Safeguarded Steffensen iteration for s = g(s) on s > 0.

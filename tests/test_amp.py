@@ -17,7 +17,6 @@ from amppath import (
     fixed_detection_tau,
     fixed_false_alarm_tau,
     gaussianity_stats,
-    median_abs_sigma,
     sample_instance,
 )
 
@@ -76,10 +75,6 @@ class TestFixedFalseAlarmTau:
         for bad in (math.nan, math.inf):
             with pytest.raises(RangeError):
                 fixed_false_alarm_tau(np.ones(4), bad)
-
-    def test_median_estimator(self):
-        u = np.random.default_rng(6).standard_normal(10**6)
-        assert median_abs_sigma(u) == pytest.approx(1.0, abs=5e-3)
 
 
 class TestPolicyValidation:

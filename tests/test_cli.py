@@ -278,6 +278,26 @@ class TestErrorPaths:
         assert "RuntimeWarning" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["risk-curve", "--sigma=1e-300"], "risk curve is not finite"),
+            (["risk-curve", "--sigma=4e16", "--tau-max=1e300"], "risk curve is not finite"),
+            (["risk-curve", "--tau-min=-1.7e308", "--tau-max=1.7e308"], "overflows"),
+            (["lasso-path", "--lambda-min=-1.7e308", "--lambda-max=1.7e308"], "overflows"),
+        ],
+        ids=["tiny-sigma", "huge-sigma", "tau-span", "lambda-span"],
+    )
+    def test_finite_flags_beyond_double_range_are_config_error(
+        self, tmp_path, capsys, args, message
+    ):
+        # warnings are errors here, so a numpy overflow warning fails the test
+        code, out = run(tmp_path, "range", *args)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [

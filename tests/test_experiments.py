@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from amppath import (
+    DimensionError,
     FixedDetection,
     InstanceConfig,
     PhaseGridConfig,
@@ -21,8 +24,8 @@ from amppath import (
     rho_of_delta,
     sample_instance,
     sparse_prior,
-    stojnic_curve,
 )
+from amppath.experiments import _curve_point
 
 # frozen from a 40-digit evaluation of the parametric curve
 STOJNIC_DELTA_AT_1 = 0.41481965886376975393
@@ -32,23 +35,23 @@ RHO_AT_HALF = 0.3856896661814809193
 
 class TestStojnicCurve:
     def test_origin_limit(self):
-        delta, rho = stojnic_curve([1e-8])[0]
+        delta, rho = _curve_point(1e-8)
         assert delta == pytest.approx(1.0, abs=1e-6)
         assert rho == pytest.approx(1.0, abs=1e-6)
 
     def test_golden_point(self):
-        delta, rho = stojnic_curve([1.0])[0]
+        delta, rho = _curve_point(1.0)
         assert delta == pytest.approx(STOJNIC_DELTA_AT_1, rel=1e-13)
         assert rho == pytest.approx(STOJNIC_RHO_AT_1, rel=1e-13)
 
     def test_tail_behavior(self):
-        delta, rho = stojnic_curve([8.0])[0]
+        delta, rho = _curve_point(8.0)
         assert delta < 1e-2
         expansion = 1 / 64 - 3 / 8**4 + 15 / 8**6
         assert rho == pytest.approx(expansion, abs=1e-3)
 
     def test_strictly_decreasing_in_z(self):
-        pts = stojnic_curve(np.linspace(0.05, 6.0, 200))
+        pts = [_curve_point(z) for z in np.linspace(0.05, 6.0, 200)]
         deltas = [p[0] for p in pts]
         rhos = [p[1] for p in pts]
         assert all(b < a for a, b in zip(deltas, deltas[1:]))
@@ -56,7 +59,7 @@ class TestStojnicCurve:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(RangeError):
-            stojnic_curve([0.0])
+            _curve_point(0.0)
 
 
 class TestRhoOfDelta:
@@ -65,7 +68,7 @@ class TestRhoOfDelta:
 
     def test_roundtrip_with_curve(self):
         for z in (0.3, 0.877, 2.5):
-            delta, rho = stojnic_curve([z])[0]
+            delta, rho = _curve_point(z)
             assert rho_of_delta(delta) == pytest.approx(rho, abs=1e-9)
 
     def test_monotone_in_delta(self):
@@ -140,6 +143,28 @@ class TestPhaseGrid:
         assert display_rho[0] == pytest.approx(float(np.min(grid.theory_rho)))
         assert display_rho[-1] == pytest.approx(float(np.max(grid.theory_rho)))
         assert np.all((0.0 <= matrix) & (matrix <= 1.0))
+
+
+def _noisy_instance():
+    return InstanceConfig(10, 20, SparseSpec(k=2), noise_variance=0.1)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: InstanceConfig(10, 20, SparseSpec(k=2), noise_variance=math.nan), DimensionError),
+        (lambda: InstanceConfig(10, 20, SparseSpec(k=2), noise_variance=math.inf), DimensionError),
+        (lambda: InstanceConfig(10, 20, SparseSpec(k=2, amplitude=math.nan)), DimensionError),
+        (lambda: PhaseGridConfig(tol=math.nan), RangeError),
+        (lambda: PhaseGridConfig(rho_band=(math.nan, 1.2)), RangeError),
+        (lambda: SweepConfig(_noisy_instance(), (0.1,), solver_tol=math.nan), RangeError),
+    ],
+    ids=["noise-nan", "noise-inf", "amplitude-nan", "phase-tol-nan", "rho-band-nan",
+         "sweep-tol-nan"],
+)
+def test_config_rejects_non_finite(build, error):
+    with pytest.raises(error):
+        build()
 
 
 class TestModelForInstance:

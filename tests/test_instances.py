@@ -1,6 +1,3 @@
-import json
-import struct
-
 import numpy as np
 import pytest
 
@@ -9,8 +6,6 @@ from amppath import (
     InstanceConfig,
     SparseSpec,
     compute_observables,
-    dump_instance,
-    load_instance,
     parse_prior,
     sample_instance,
     splitmix64,
@@ -144,73 +139,6 @@ class TestObservables:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             compute_observables(np.zeros(5), np.zeros(6))
-
-
-class TestDumpFormat:
-    def test_roundtrip(self, tmp_path):
-        inst = sample_instance(sparse_cfg(seed=99, noise=0.2))
-        path = tmp_path / "instance.bin"
-        dump_instance(path, inst)
-        back = load_instance(path)
-        for left, right in ((inst.A, back.A), (inst.x_o, back.x_o), (inst.w, back.w), (inst.y, back.y)):
-            assert left.tobytes() == right.tobytes()
-        assert back.config == inst.config
-
-    def test_prior_config_roundtrip(self, tmp_path):
-        prior = parse_prior("0.8:0,0.1:1,0.1:-1")
-        cfg = InstanceConfig(40, 80, prior, noise_variance=0.5, seed=4)
-        path = tmp_path / "instance.bin"
-        dump_instance(path, sample_instance(cfg))
-        assert load_instance(path).config == cfg
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"not an instance")
-        with pytest.raises(ValueError):
-            load_instance(path)
-
-    def test_rejects_truncated_header(self, tmp_path):
-        path = tmp_path / "instance.bin"
-        dump_instance(path, sample_instance(sparse_cfg(n=10, N=20, k=2)))
-        # the 8-byte magic survives, the 28-byte (n, N, seed, echo length) header is cut
-        path.write_bytes(path.read_bytes()[: 8 + 10])
-        with pytest.raises(ValueError):
-            load_instance(path)
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            # the header keeps the true n, N and seed
-            lambda echo: {**echo, "n_rows": echo["n_rows"] + 1},
-            lambda echo: {**echo, "n_cols": echo["n_cols"] + 1},
-            lambda echo: {**echo, "seed": echo["seed"] + 1},
-            lambda echo: [],
-            lambda echo: 7,
-            lambda echo: {k: v for k, v in echo.items() if k != "signal"},
-            lambda echo: {**echo, "signal": []},
-            lambda echo: {**echo, "noise_variance": -1.0},
-        ],
-        ids=["n_rows", "n_cols", "seed", "list", "number", "no-signal", "signal-list", "negative-noise"],
-    )
-    def test_rejects_bad_echo(self, tmp_path, edit):
-        path = _dump_with_echo(tmp_path, edit)
-        with pytest.raises(ValueError):
-            load_instance(path)
-
-
-def _dump_with_echo(tmp_path, edit):
-    """Dump a small instance, then replace its JSON echo by edit(echo)."""
-    path = tmp_path / "instance.bin"
-    dump_instance(path, sample_instance(sparse_cfg(n=10, N=20, k=2)))
-    data = path.read_bytes()
-    start = 8 + 28  # magic, then the header ending in the echo length
-    echo_len = struct.unpack("<I", data[start - 4 : start])[0]
-    echo = json.loads(data[start : start + echo_len])
-    new_echo = json.dumps(edit(echo), sort_keys=True).encode("utf-8")
-    path.write_bytes(
-        data[: start - 4] + struct.pack("<I", len(new_echo)) + new_echo + data[start + echo_len :]
-    )
-    return path
 
 
 class TestSeedHashing:

@@ -227,7 +227,7 @@ class TestSETrajectory:
 
     def test_monotone_convergence_fixed_false_alarm(self, golden_model):
         traj = se_trajectory(golden_model, FixedFalseAlarm(GOLDEN_BETA), 200)
-        s = np.array(traj.sigma_sq)
+        s = np.array(traj.sigma) ** 2
         diffs = np.diff(s)
         assert np.all(diffs <= 1e-14) or np.all(diffs >= -1e-14)
         assert s[-1] == pytest.approx(GOLDEN_SIGMA_HAT**2, abs=1e-10)
