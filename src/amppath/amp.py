@@ -8,7 +8,7 @@ The update is
 with x_0 = 0 and z_{-1} = 0 (so z_0 = y).  The memory coefficient on
 z_{t-1} is always the exact nonzero count of the current x_t divided by n.
 The correction keeps the effective noise v_t = x_t + A^T z_t - x_o close
-to Gaussian, which the trace can quantify per iteration (excess kurtosis
+to Gaussian, which the trace quantifies per iteration (excess kurtosis
 and Kolmogorov-Smirnov distance to the best-fit normal).
 """
 
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from .exceptions import Divergence, RangeError
 from .instances import ProblemInstance
@@ -27,6 +27,7 @@ from .policies import ThresholdPolicy
 from .policies import fixed_detection_tau  # noqa: F401
 
 _GAUSSIANITY_MIN_SAMPLES = 100
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class AmpTrace:
     """Row t describes iteration t: the threshold tau_t applied to
     x_t + A^T z_t, the support size and MSE of the resulting x_{t+1},
     the residual scale ||z_t||/sqrt(n), and Gaussianity diagnostics of
-    v_t = x_t + A^T z_t - x_o (NaN unless requested and N >= 100)."""
+    v_t = x_t + A^T z_t - x_o (NaN when N < 100, too few samples)."""
 
     t: np.ndarray
     tau: np.ndarray
@@ -66,6 +67,8 @@ class AmpTrace:
 def gaussianity_stats(v: np.ndarray) -> tuple[float, float]:
     """(excess kurtosis, KS distance to the fitted normal) of a sample.
 
+    These are the values of scipy.stats.kurtosis(v, fisher=True, bias=True)
+    and kstest(v, "norm", args=(mean, std)).statistic, bit for bit.
     Returns (nan, nan) for a degenerate (zero-variance) sample.
     """
     v = np.asarray(v, dtype=np.float64)
@@ -75,8 +78,14 @@ def gaussianity_stats(v: np.ndarray) -> tuple[float, float]:
     std = float(np.std(v))
     if std == 0.0 or not math.isfinite(std):
         return (math.nan, math.nan)
-    kurt = float(stats.kurtosis(v, fisher=True, bias=True))
-    ks = float(stats.kstest(v, "norm", args=(mean, std)).statistic)
+    d2 = (v - mean) ** 2
+    m2 = np.mean(d2)
+    # as in scipy, a variance lost in the rounding of the mean has no kurtosis
+    kurt = math.nan if m2 <= (_EPS * mean) ** 2 else float(np.mean(d2**2) / m2**2.0 - 3.0)
+    # largest gap between the empirical CDF's steps i/n and the fitted CDF
+    cdf = ndtr((np.sort(v) - mean) / std)
+    steps = np.arange(v.size + 1) / v.size
+    ks = float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
     return (kurt, ks)
 
 
@@ -91,7 +100,6 @@ def amp_run(
     policy: ThresholdPolicy,
     max_iter: int = 500,
     conv_tol: float = 1e-10,
-    compute_gaussianity: bool = False,
     trace: bool = True,
 ) -> tuple[AmpState, AmpTrace | None]:
     """Run AMP until the iterate stalls or max_iter is reached.
@@ -101,10 +109,10 @@ def amp_run(
     1e12 ||y|| or is not finite (e.g. detection target above the phase
     transition, or NaN in the data).
 
-    With trace=False no per-iteration rows are computed (compute_gaussianity
-    is then ignored) and the trace returned is None; the final state is the
-    same bit for bit.  Below N = 100 coordinates compute_gaussianity is
-    ignored too: the Gaussianity statistics need 100 samples.
+    With trace=False no per-iteration rows are computed and the trace
+    returned is None; the final state is the same bit for bit.  A trace
+    always carries the Gaussianity diagnostics, except below N = 100
+    coordinates, where they stay NaN: the statistics need 100 samples.
     """
     if max_iter < 1:
         raise RangeError(f"max_iter must be >= 1, got {max_iter}")
@@ -113,7 +121,6 @@ def amp_run(
     n, N = A.shape
     sqrt_n = math.sqrt(n)
     limit = 1e12 * max(float(np.linalg.norm(y)), 1.0)
-    gaussianity = compute_gaussianity and N >= _GAUSSIANITY_MIN_SAMPLES
     rows = []
 
     # every vector lives in a buffer allocated once; x/x_new and z/z_prev
@@ -147,10 +154,9 @@ def amp_run(
         new_active = int(np.count_nonzero(x_new))
 
         if trace:
-            if gaussianity:
+            kurt, ks = math.nan, math.nan
+            if N >= _GAUSSIANITY_MIN_SAMPLES:
                 kurt, ks = gaussianity_stats(u - x_o)
-            else:
-                kurt, ks = math.nan, math.nan
             mse = float(np.mean((x_new - x_o) ** 2))
             rows.append((t, tau, new_active, _norm(z) / sqrt_n, mse, kurt, ks))
 

@@ -213,10 +213,7 @@ def _cmd_amp_run(opts, out):
         raise ConfigError(f"{opts['policy']} needs {_flag(param)}")
     policy = policy_class(opts[param])
     instance = sample_instance(_instance_config(opts))
-    _, trace = amp_run(
-        instance, policy, max_iter=opts["amp_iters"], conv_tol=opts["conv_tol"],
-        compute_gaussianity=True,
-    )
+    _, trace = amp_run(instance, policy, max_iter=opts["amp_iters"], conv_tol=opts["conv_tol"])
     header = ("t", "tau", "active_count", "residual_norm", "mse", "kurtosis", "ks")
     rows = zip(trace.t, trace.tau, trace.active_count, trace.residual_norm,
                trace.mse, trace.kurtosis, trace.ks)

@@ -211,9 +211,11 @@ def lambda_sweep_empirical(cfg: SweepConfig) -> list[dict]:
             zero_tol = 1e-8 * float(np.max(np.abs(x_hat))) if np.any(x_hat != 0.0) else 0.0
             kkt = result.kkt_residual
         else:
+            # a lambda whose SE detection leaves no slot (floor(gamma n) = 0)
+            # runs with one: the marginal entry drops, so AMP settles at zero
             state, _ = amp_run(
                 instance,
-                FixedDetection(point.gamma),
+                FixedDetection(max(point.gamma, 1.0 / cfg.instance.n_rows)),
                 max_iter=cfg.amp_max_iter,
                 conv_tol=1e-10,
                 trace=False,

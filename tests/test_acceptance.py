@@ -68,10 +68,7 @@ def golden_runs():
     for seed in GOLDEN_SEEDS:
         cfg = InstanceConfig(GOLDEN_ROWS, GOLDEN_N, GOLDEN_PRIOR, noise_variance=0.2, seed=seed)
         instance = sample_instance(cfg)
-        _, trace = amp_run(
-            instance, FixedDetection(GOLDEN_GAMMA), max_iter=21, conv_tol=0.0,
-            compute_gaussianity=True,
-        )
+        _, trace = amp_run(instance, FixedDetection(GOLDEN_GAMMA), max_iter=21, conv_tol=0.0)
         runs.append((instance, trace))
     return runs
 

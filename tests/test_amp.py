@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from amppath import (
     Divergence,
@@ -107,6 +109,28 @@ class TestGaussianityStats:
         v = np.random.default_rng(4).standard_t(df=3, size=10**5)
         kurt, _ = gaussianity_stats(v)
         assert kurt > 1.0
+
+    @pytest.mark.parametrize("n", [100, 137, 1000, 5000])
+    @pytest.mark.parametrize("law", ["normal", "shifted-t3", "below-rounding"])
+    def test_matches_scipy_stats(self, n, law):
+        # scipy.stats is the independent oracle: the values agree bit for bit,
+        # down to the NaN kurtosis of a spread below the rounding of the mean
+        rng = np.random.default_rng(n)
+        if law == "normal":
+            v = rng.standard_normal(n)
+        elif law == "shifted-t3":
+            v = 2.5 * rng.standard_t(3, n) - 7.0
+        else:
+            v = 1e8 + 1e-8 * rng.standard_normal(n)
+        mean, std = float(np.mean(v)), float(np.std(v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scipy's precision-loss notice
+            expected = (
+                stats.kurtosis(v, fisher=True, bias=True),
+                stats.kstest(v, "norm", args=(mean, std)).statistic,
+            )
+        assert math.isnan(expected[0]) == (law == "below-rounding")
+        assert np.array_equal(gaussianity_stats(v), expected, equal_nan=True)
 
 
 def make_instance(seed=11, n=100, N=200, k=10, noise=0.0):
@@ -216,18 +240,13 @@ class TestAmpRun:
 
     def test_gaussianity_flag(self):
         inst = make_instance(seed=15, k=10, noise=0.1, n=150, N=300)
-        _, off = amp_run(inst, FixedDetection(0.2), max_iter=3, conv_tol=0.0)
-        assert np.all(np.isnan(off.ks))
-        _, on = amp_run(
-            inst, FixedDetection(0.2), max_iter=3, conv_tol=0.0, compute_gaussianity=True
-        )
-        assert np.all(np.isfinite(on.ks))
+        # every traced run fills the diagnostics once N >= 100
+        _, trace = amp_run(inst, FixedDetection(0.2), max_iter=3, conv_tol=0.0)
+        assert np.all(np.isfinite(trace.kurtosis)) and np.all(np.isfinite(trace.ks))
 
     def test_gaussianity_needs_100_coordinates(self):
         inst = make_instance(seed=15, k=3, noise=0.1, n=30, N=60)
-        _, trace = amp_run(
-            inst, FixedDetection(0.3), max_iter=3, conv_tol=0.0, compute_gaussianity=True
-        )
+        _, trace = amp_run(inst, FixedDetection(0.3), max_iter=3, conv_tol=0.0)
         assert np.all(np.isnan(trace.kurtosis)) and np.all(np.isnan(trace.ks))
 
     def test_convergence_stops_early(self):

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +145,22 @@ class TestCsvSchemas:
         assert header == ["lambda", "empirical_mse", "se_mse", "empirical_dr", "se_dr",
                           "kkt_residual", "converged"]
         assert len(rows) == 2
+
+    def test_amp_sweep_past_the_last_detection_slot(self, tmp_path):
+        # at lambda 10.25 and 20, SE's detection leaves floor(gamma n) = 0
+        # slots; AMP runs with one, which settles at the zero estimate
+        code, out = run(
+            tmp_path, "sweep", "sweep", "--n", "200", "--big-n", "400", "--k", "20",
+            "--sigma-w-sq", "0.2", "--lambda-min", "0.5", "--lambda-max", "20",
+            "--lambda-points", "3", "--solver", "amp",
+        )
+        assert code == 0
+        _, rows = read_table(out)
+        assert [r["lambda"] for r in rows] == ["0.5", "10.25", "20"]
+        for r in rows[1:]:
+            assert float(r["empirical_mse"]) == 20 / 400  # ||x_o||^2 / N: x_hat = 0
+            assert r["empirical_dr"] == "0" and r["converged"] == "1"
+            assert float(r["kkt_residual"]) == 0.0
 
     def test_phase_columns_and_display_grid(self, tmp_path):
         display = tmp_path / "display.csv"
@@ -369,3 +389,15 @@ class TestErrorPaths:
         assert code == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("lambda,beta,tau,")
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # every CLI call pays its imports, and scipy.stats would add about 0.5 s
+    # to them (measured on 2 cores), for two statistics numpy computes
+    src = str(Path(amppath.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, amppath.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
