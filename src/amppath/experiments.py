@@ -197,7 +197,7 @@ def lambda_sweep_empirical(cfg: SweepConfig) -> list[dict]:
     """
     instance = sample_instance(cfg.instance)
     model = model_for_instance(cfg.instance)
-    lipschitz = power_iteration_sq_norm(instance.A)
+    lipschitz = power_iteration_sq_norm(instance.A) if cfg.solver == "fista" else None
     rows = []
     for lam in cfg.lambda_grid:
         lam = float(lam)

@@ -2,7 +2,8 @@
 
 Solves min_x 0.5 ||y - A x||_2^2 + lam ||x||_1 by accelerated proximal
 gradient with step 1/L (L the squared top singular value, from power
-iteration) and restart-on-increase, which keeps the objective monotone.
+iteration) and restart-on-increase, which keeps the objective monotone up
+to rounding; a plain step that still raises it halves the step.
 The KKT residual certifies the answer: with g = A^T (y - A x), optimality
 means g_i = lam * sign(x_i) on the support and |g_i| <= lam off it.
 """
@@ -38,7 +39,12 @@ def power_iteration_sq_norm(A: np.ndarray, rtol: float = 1e-10, max_iter: int = 
         w = A.T @ (A @ v)
         new_value = float(np.linalg.norm(w))
         if new_value == 0.0:
-            return 0.0
+            if not A.any():
+                return 0.0
+            # v lies in the null space of A; the largest-norm row of A does not
+            v = A[np.argmax(np.linalg.norm(A, axis=1))]
+            v = v / np.linalg.norm(v)
+            continue
         v = w / new_value
         if abs(new_value - value) <= rtol * new_value:
             return new_value
@@ -65,8 +71,8 @@ def kkt_residual(instance: ProblemInstance, lam: float, x_hat: np.ndarray) -> fl
     max over the support of |g_i - lam*sign(x_i)| and over the rest of
     (|g_i| - lam)_+, divided by lam.  Zero exactly at a minimizer.
     """
-    if lam <= 0.0:
-        raise RangeError(f"lambda must be > 0 for the KKT certificate, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise RangeError(f"lambda must be finite and > 0 for the KKT certificate, got {lam}")
     return _kkt_violation(instance.A.T @ (instance.y - instance.A @ x_hat), x_hat, lam)
 
 
@@ -87,10 +93,12 @@ def lasso_solve(
     For lam = 0 the minimizer may be non-unique in the undersampled
     regime; the stopping rule then uses the plain gradient sup-norm.
     """
-    if lam < 0.0:
-        raise RangeError(f"lambda must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise RangeError(f"lambda must be finite and >= 0, got {lam}")
     if kkt_every < 1:
         raise RangeError(f"kkt_every must be >= 1, got {kkt_every}")
+    if lipschitz is not None and not 0.0 < lipschitz < math.inf:
+        raise RangeError(f"lipschitz must be finite and > 0, got {lipschitz}")
     A, y = instance.A, instance.y
     L = power_iteration_sq_norm(A) if lipschitz is None else float(lipschitz)
     if L <= 0.0:
@@ -106,7 +114,7 @@ def lasso_solve(
     residual = math.inf
     iterations = 0
     converged = False
-    rejects_in_row = 0
+    rounding = 8.0 * float(np.finfo(float).eps)  # relative noise of obj, never a rise
 
     for k in range(1, max_iter + 1):
         iterations = k
@@ -116,16 +124,14 @@ def lasso_solve(
         r_new = A @ x_new - y
         obj_new = _objective(r_new, x_new, lam)
 
-        if obj_new > obj:
-            # restart: drop momentum, retake a plain descent step from x;
-            # repeated rejects mean the step overshoots L, so back off
+        if obj_new > obj + rounding * abs(obj):
+            # restart: drop momentum, retake a plain descent step from x; a
+            # plain step (no momentum) that rises overshoots 1/L, so back off
+            if t_momentum == 1.0:
+                step *= 0.5
             v = x
             t_momentum = 1.0
-            rejects_in_row += 1
-            if rejects_in_row >= 2:
-                step *= 0.5
         else:
-            rejects_in_row = 0
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
             v = x_new + ((t_momentum - 1.0) / t_next) * (x_new - x)
             x, r, obj, t_momentum = x_new, r_new, obj_new, t_next

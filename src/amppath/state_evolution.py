@@ -204,8 +204,6 @@ def beta_of_lambda(model: SEModel, lam: float) -> SEPoint:
     if not 0.0 <= lam < math.inf:
         raise RangeError(f"lambda must be finite and >= 0, got {lam}")
     beta_lo = _beta_zero_lambda(model)
-    if lam == 0.0:
-        return lambda_of_beta(model, beta_lo)
     lam_hi = _point_at_beta(model, _BETA_MAX).lam
     if lam > lam_hi:
         raise BracketFailure(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import amppath.experiments
 from amppath import (
     DimensionError,
     FixedDetection,
@@ -221,6 +222,19 @@ class TestLambdaSweep:
         for r in rows:
             assert abs(r["empirical_dr"] - r["se_dr"]) < 0.05
             assert abs(r["empirical_mse"] - r["se_mse"]) / r["se_mse"] < 0.25
+
+    def test_amp_sweep_runs_no_power_iteration(self, monkeypatch):
+        # only FISTA reads the step size
+        def no_power_iteration(A):
+            raise AssertionError("power iteration in an AMP sweep")
+
+        monkeypatch.setattr(amppath.experiments, "power_iteration_sq_norm", no_power_iteration)
+        cfg = SweepConfig(
+            instance=InstanceConfig(100, 200, SparseSpec(k=10), noise_variance=0.2, seed=0),
+            lambda_grid=(1.0,),
+            solver="amp",
+        )
+        assert len(lambda_sweep_empirical(cfg)) == 1
 
     def test_amp_converging_on_last_allowed_iteration_counts(self):
         inst_cfg = InstanceConfig(100, 200, SparseSpec(k=10), noise_variance=0.2, seed=0)

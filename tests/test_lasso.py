@@ -36,6 +36,15 @@ class TestPowerIteration:
     def test_zero_matrix(self):
         assert power_iteration_sq_norm(np.zeros((4, 6))) == 0.0
 
+    def test_start_vector_in_null_space(self):
+        # the all-ones start is annihilated by A; the top value is still 2
+        A = np.array([[1.0, -1.0]])
+        assert power_iteration_sq_norm(A) == pytest.approx(2.0, rel=1e-12)
+        inst = ProblemInstance(A=A, x_o=np.zeros(2), w=np.zeros(1), y=np.array([3.0]), config=None)
+        result = lasso_solve(inst, 0.1, tol=1e-10, kkt_every=1)
+        assert result.converged
+        assert kkt_residual(inst, 0.1, result.x_hat) <= 1e-10
+
 
 class TestLassoSolve:
     @pytest.mark.parametrize("kkt_every", [0, -1])
@@ -81,6 +90,7 @@ class TestLassoSolve:
             inst = make_instance(seed=100 + case, n=n, N=N, k=k, noise=0.2)
             lam = float(gen.uniform(0.05, 0.5))
             fista = lasso_solve(inst, lam, tol=1e-10, max_iter=50000, kkt_every=5)
+            assert fista.converged
             cd_x = coordinate_descent_lasso(inst.A, inst.y, lam)
             r = inst.y - inst.A @ cd_x
             cd_obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(cd_x)))
@@ -95,6 +105,27 @@ class TestLassoSolve:
     def test_negative_lambda_rejected(self):
         with pytest.raises(RangeError):
             lasso_solve(make_instance(), -0.1)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(RangeError):
+            lasso_solve(make_instance(), lam)
+
+    @pytest.mark.parametrize("lipschitz", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_lipschitz_rejected(self, lipschitz):
+        with pytest.raises(RangeError):
+            lasso_solve(make_instance(), 0.1, lipschitz=lipschitz)
+
+    @pytest.mark.parametrize("factor", [0.3, 0.01])
+    def test_underestimated_lipschitz_backs_off(self, factor):
+        # too long a step raises the objective; halving it must still reach
+        # the optimum of the solve with the true constant
+        inst = make_instance(seed=11)
+        lipschitz = power_iteration_sq_norm(inst.A)
+        exact = lasso_solve(inst, 0.1, tol=1e-10, max_iter=20000, lipschitz=lipschitz)
+        backed_off = lasso_solve(inst, 0.1, tol=1e-10, max_iter=20000, lipschitz=factor * lipschitz)
+        assert exact.converged and backed_off.converged
+        assert backed_off.objective == pytest.approx(exact.objective, rel=1e-12)
 
     def test_support_shrinks_along_path_statistically(self):
         # no per-instance guarantee, but on a random instance the trend holds
@@ -139,3 +170,8 @@ class TestKktResidual:
     def test_requires_positive_lambda(self):
         with pytest.raises(RangeError):
             kkt_residual(make_instance(), 0.0, np.zeros(120))
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_requires_finite_lambda(self, lam):
+        with pytest.raises(RangeError):
+            kkt_residual(make_instance(), lam, np.zeros(120))
