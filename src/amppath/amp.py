@@ -107,7 +107,7 @@ def amp_run(
     Convergence is relative iterate change ||x_{t+1} - x_t|| / max(||x_t||,
     1e-12) < conv_tol.  Raises Divergence when ||x_{t+1}|| exceeds
     1e12 ||y|| or is not finite (e.g. detection target above the phase
-    transition, or NaN in the data).
+    transition, or NaN in the data); RangeError when that bound overflows.
 
     With trace=False no per-iteration rows are computed and the trace
     returned is None; the final state is the same bit for bit.  A trace
@@ -120,7 +120,10 @@ def amp_run(
     At = A.T
     n, N = A.shape
     sqrt_n = math.sqrt(n)
-    limit = 1e12 * max(float(np.linalg.norm(y)), 1.0)
+    with np.errstate(over="ignore"):
+        limit = 1e12 * max(float(np.linalg.norm(y)), 1.0)
+    if limit == math.inf:
+        raise RangeError("data too large: the divergence bound 1e12 ||y|| overflows")
     rows = []
 
     # every vector lives in a buffer allocated once; x/x_new and z/z_prev

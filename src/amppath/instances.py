@@ -117,8 +117,8 @@ def compute_observables(x_hat, x_o, zero_tol: float = 0.0) -> Observables:
     x_o = np.asarray(x_o, dtype=np.float64)
     if x_hat.shape != x_o.shape or x_hat.ndim != 1:
         raise DimensionError(f"shape mismatch: {x_hat.shape} vs {x_o.shape}")
-    if zero_tol < 0.0:
-        raise DimensionError(f"zero_tol must be >= 0, got {zero_tol}")
+    if not 0.0 <= zero_tol < math.inf:
+        raise DimensionError(f"zero_tol must be finite and >= 0, got {zero_tol}")
     N = x_hat.size
     detected = np.abs(x_hat) > zero_tol
     truth_nonzero = x_o != 0.0

@@ -18,6 +18,9 @@ import numpy as np
 from .exceptions import RangeError
 from .instances import ProblemInstance
 
+_POWER_RTOL = 1e-10
+_POWER_MAX_ITER = 1000
+
 
 @dataclass(frozen=True)
 class LassoResult:
@@ -28,14 +31,15 @@ class LassoResult:
     converged: bool
 
 
-def power_iteration_sq_norm(A: np.ndarray, rtol: float = 1e-10, max_iter: int = 1000) -> float:
+def power_iteration_sq_norm(A: np.ndarray) -> float:
     """Largest squared singular value of A by power iteration on A^T A.
 
-    Stops when the eigenvalue estimate changes by less than rtol relative.
+    Stops when the eigenvalue estimate changes by less than _POWER_RTOL
+    relative, or after _POWER_MAX_ITER products.
     """
     v = np.ones(A.shape[1]) / math.sqrt(A.shape[1])
     value = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = A.T @ (A @ v)
         new_value = float(np.linalg.norm(w))
         if new_value == 0.0:
@@ -46,7 +50,7 @@ def power_iteration_sq_norm(A: np.ndarray, rtol: float = 1e-10, max_iter: int = 
             v = v / np.linalg.norm(v)
             continue
         v = w / new_value
-        if abs(new_value - value) <= rtol * new_value:
+        if abs(new_value - value) <= _POWER_RTOL * new_value:
             return new_value
         value = new_value
     return value

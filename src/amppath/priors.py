@@ -45,7 +45,7 @@ def soft_threshold(a: float, tau: float) -> float:
     Total function for tau >= 0; the sign of the input is preserved and
     the magnitude shrinks by exactly tau (to zero inside the dead zone).
     """
-    if tau < 0:
+    if not 0.0 <= tau <= math.inf:
         raise RangeError(f"threshold must be >= 0, got {tau}")
     mag = abs(a) - tau
     if mag <= 0.0:
@@ -160,10 +160,10 @@ class PsiParams:
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
             raise RangeError(f"delta must be in (0, 1], got {self.delta}")
-        if self.sigma_w_sq < 0.0:
-            raise RangeError(f"noise variance must be >= 0, got {self.sigma_w_sq}")
-        if self.beta < 0.0:
-            raise RangeError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 <= self.sigma_w_sq < math.inf:
+            raise RangeError(f"noise variance must be finite and >= 0, got {self.sigma_w_sq}")
+        if not 0.0 <= self.beta < math.inf:
+            raise RangeError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 def _unit_atom_risk(mu: float, tau: float) -> float:

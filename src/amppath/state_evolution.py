@@ -22,7 +22,7 @@ from functools import lru_cache
 from scipy.optimize import brentq
 
 from .exceptions import BracketFailure, NegativeLambda, NonConvergence, RangeError
-from .policies import FixedDetection, ThresholdPolicy
+from .policies import ThresholdPolicy
 from .priors import Prior, PsiParams, atom_risk, detection_prob, psi_map, risk
 
 _MAX_FP_ITERS = 10_000
@@ -77,7 +77,7 @@ class SETrajectory:
         return len(self.sigma)
 
 
-def _fixed_point(g, s0: float, rtol: float = _FP_RTOL) -> float:
+def _fixed_point(g, s0: float) -> float:
     """Safeguarded Steffensen iteration for s = g(s) on s > 0.
 
     g must be nondecreasing and concave with a unique fixed point (true for
@@ -87,7 +87,7 @@ def _fixed_point(g, s0: float, rtol: float = _FP_RTOL) -> float:
     s = max(s0, _SIGMA_FLOOR**2)
     for _ in range(_MAX_FP_ITERS // 2):
         s1 = g(s)
-        if abs(s1 - s) <= rtol * max(1.0, abs(s1)):
+        if abs(s1 - s) <= _FP_RTOL * max(1.0, abs(s1)):
             return s1
         s2 = g(s1)
         denom = s2 - 2.0 * s1 + s
@@ -188,64 +188,41 @@ def _bisect_beta(model: SEModel, gamma: float, rtol: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _beta_zero_lambda(model: SEModel) -> float:
-    """beta of the lambda = 0 boundary, where detection equals delta."""
-    if _point_at_beta(model, _BETA_MAX).gamma >= 1.0:
+def _lambda_bracket(model: SEModel) -> tuple[SEPoint, SEPoint]:
+    """SE points at the lambda = 0 boundary, where detection equals delta,
+    and at BETA_MAX: the ends of every lambda -> beta root-find."""
+    hi = _point_at_beta(model, _BETA_MAX)
+    if hi.gamma >= 1.0:
         raise BracketFailure("detection exceeds delta over the whole beta range")
-    return _bisect_beta(model, 1.0, 1e-14)
+    return _point_at_beta(model, _bisect_beta(model, 1.0, 1e-14)), hi
 
 
 def beta_of_lambda(model: SEModel, lam: float) -> SEPoint:
     """Invert the strictly increasing map beta -> lambda.
 
-    Root-find on beta in [beta(lambda=0), 50]; raises BracketFailure when
-    lam lies beyond lambda(50).
+    Root-find on beta in [beta(lambda=0), 50], whose ends are solved once
+    per model; raises BracketFailure when lam lies beyond lambda(50).
     """
     if not 0.0 <= lam < math.inf:
         raise RangeError(f"lambda must be finite and >= 0, got {lam}")
-    beta_lo = _beta_zero_lambda(model)
-    lam_hi = _point_at_beta(model, _BETA_MAX).lam
-    if lam > lam_hi:
-        raise BracketFailure(
-            f"lambda {lam:.6g} above the representable maximum {lam_hi:.6g}"
-        )
-    lam_lo = _point_at_beta(model, beta_lo).lam
-    if lam <= lam_lo:
-        return lambda_of_beta(model, beta_lo)
-    beta = brentq(
-        lambda b: _point_at_beta(model, b).lam - lam,
-        beta_lo,
-        _BETA_MAX,
-        xtol=1e-13,
-    )
+    lo, hi = _lambda_bracket(model)
+    if lam > hi.lam:
+        raise BracketFailure(f"lambda {lam:.6g} above the representable maximum {hi.lam:.6g}")
+    if lam <= lo.lam:
+        return lo
+    beta = brentq(lambda b: _point_at_beta(model, b).lam - lam, lo.beta, _BETA_MAX, xtol=1e-13)
     return lambda_of_beta(model, beta)
 
 
-def calibrate_gamma(model: SEModel, gamma: float, method: str = "bisect") -> SEPoint:
+def calibrate_gamma(model: SEModel, gamma: float) -> SEPoint:
     """State-evolution point with survivor fraction detection/delta = gamma.
 
-    ``method="bisect"`` root-finds on beta using the monotonicity of the
-    survivor fraction; ``method="alternate"`` iterates the fixed-detection
-    variance map directly (threshold re-solved from the detection target at
-    every step).  Both converge to the same unique point.
+    Root-finds on beta using the monotonicity of the survivor fraction; the
+    point is the limit of se_trajectory under FixedDetection(gamma).
     """
     if not 0.0 < gamma < 1.0:
         raise RangeError(f"gamma must be in (0, 1), got {gamma}")
-    if method == "bisect":
-        return _point_at_beta(model, _bisect_beta(model, gamma, 1e-15))
-    if method == "alternate":
-        policy = FixedDetection(gamma)
-
-        def g(s):
-            sigma = math.sqrt(s)
-            tau = policy.se_tau(model.prior, sigma, model.delta)
-            return model.sigma_w_sq + risk(model.prior, sigma, tau) / model.delta
-
-        s0 = model.sigma_w_sq + model.prior.second_moment / model.delta
-        sigma_hat = math.sqrt(_fixed_point(g, s0, rtol=1e-14))
-        tau = policy.se_tau(model.prior, sigma_hat, model.delta)
-        return _se_point(model, sigma_hat, tau / sigma_hat, tau)
-    raise RangeError(f"unknown method {method!r}")
+    return _point_at_beta(model, _bisect_beta(model, gamma, 1e-15))
 
 
 def lasso_path(model: SEModel, lambda_grid) -> list[SEPoint]:

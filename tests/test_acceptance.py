@@ -132,9 +132,9 @@ def test_criterion_03_fixed_point_uniqueness():
     for delta in np.linspace(0.2, 0.8, 5):
         model = SEModel(float(delta), 0.2, GOLDEN_PRIOR)
         for gamma in np.linspace(0.1, 0.9, 5):
-            a = calibrate_gamma(model, float(gamma), method="bisect")
-            b = calibrate_gamma(model, float(gamma), method="alternate")
-            gap = max(abs(a.sigma_hat - b.sigma_hat), abs(a.tau - b.tau))
+            a = calibrate_gamma(model, float(gamma))
+            b = se_trajectory(model, FixedDetection(float(gamma)), 200)
+            gap = max(abs(a.sigma_hat - b.sigma[-1]), abs(a.tau - b.tau[-1]))
             assert gap <= 1e-8
             worst_cal = max(worst_cal, gap)
 

@@ -384,6 +384,17 @@ class TestErrorPaths:
         assert len(rows) == 4
         assert all(r["kurtosis"] == r["ks"] == "nan" for r in rows)
 
+    @pytest.mark.filterwarnings("error")
+    def test_amp_run_overflowing_data_is_config_error(self, tmp_path, capsys):
+        # 1e12 ||y|| overflows here, and an infinite bound never stops AMP
+        code, out = run(
+            tmp_path, "huge", "amp-run", "--n", "20", "--big-n", "40", "--k", "4",
+            "--amplitude", "1e200", "--gamma", "0.3", "--amp-iters", "3",
+        )
+        assert code == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stdout_output(self, capsys):
         code = main(["se-solve", "--beta", "1.5"])
         assert code == 0

@@ -140,6 +140,13 @@ class TestObservables:
         with pytest.raises(DimensionError):
             compute_observables(np.zeros(5), np.zeros(6))
 
+    @pytest.mark.parametrize("zero_tol", [np.nan, np.inf])
+    def test_non_finite_zero_tol_rejected(self, zero_tol):
+        # a NaN tolerance counted nothing as detected: dr 0, md 1
+        x_o = np.ones(10)
+        with pytest.raises(DimensionError):
+            compute_observables(x_o, x_o, zero_tol=zero_tol)
+
 
 class TestSeedHashing:
     def test_splitmix_range_and_avalanche(self):

@@ -111,6 +111,16 @@ class TestLassoSolve:
         with pytest.raises(RangeError):
             lasso_solve(make_instance(), lam)
 
+    def test_zero_matrix_certifies_zero(self):
+        # L = 0: every x has the objective of x = 0, and A^T r = 0 meets the KKT test
+        y = np.array([3.0, -4.0])
+        inst = ProblemInstance(A=np.zeros((2, 3)), x_o=np.zeros(3), w=np.zeros(2), y=y, config=None)
+        result = lasso_solve(inst, 0.1)
+        assert np.array_equal(result.x_hat, np.zeros(3))
+        assert result.converged and result.iterations == 0
+        assert result.kkt_residual == 0.0
+        assert result.objective == 0.5 * float(y @ y)
+
     @pytest.mark.parametrize("lipschitz", [0.0, -1.0, np.nan, np.inf])
     def test_bad_lipschitz_rejected(self, lipschitz):
         with pytest.raises(RangeError):

@@ -41,6 +41,11 @@ class TestSoftThreshold:
         with pytest.raises(RangeError):
             soft_threshold(1.0, -0.1)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(RangeError):
+            soft_threshold(2.0, math.nan)
+        assert soft_threshold(2.0, math.inf) == 0.0
+
     def test_lipschitz(self):
         gen = np.random.default_rng(0)
         for _ in range(500):
@@ -240,6 +245,14 @@ class TestPsiMap:
         p = self._params(beta=2.0)
         for s in (0.05, 0.5, 2.0):
             assert psi_map(s, p) > 0.2
+
+    @pytest.mark.parametrize("field", ["sigma_w_sq", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, field, value):
+        # a NaN noise variance made psi_map return NaN, an infinite one inf
+        kwargs = {"delta": 0.5, "sigma_w_sq": 0.2, "prior": sparse_prior(0.1), "beta": 1.5}
+        with pytest.raises(RangeError):
+            PsiParams(**{**kwargs, field: value})
 
 
 class TestMonteCarloSweep:

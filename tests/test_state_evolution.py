@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import amppath.state_evolution as se
 from amppath import (
     BracketFailure,
     FixedDetection,
@@ -156,19 +157,30 @@ class TestBetaOfLambda:
         dets = [beta_of_lambda(golden_model, l).detection for l in grid]
         assert all(b < a - 1e-9 for a, b in zip(dets, dets[1:]))
 
+    def test_bracket_solved_once_per_model(self, golden_model, monkeypatch):
+        # a repeat call solves neither bracket end again: each is evaluated
+        # once, by brentq's own look at the ends of its interval
+        betas = []
+        point_at_beta = se._point_at_beta
+
+        def counted(model, beta):
+            betas.append(beta)
+            return point_at_beta(model, beta)
+
+        monkeypatch.setattr(se, "_point_at_beta", counted)
+        beta_zero = beta_of_lambda(golden_model, 0.0).beta
+        beta_of_lambda(golden_model, 0.3)
+        betas.clear()
+        beta_of_lambda(golden_model, 0.3)
+        assert betas.count(se._BETA_MAX) == 1
+        assert betas.count(beta_zero) == 1
+
     def test_bracket_failure(self, golden_model):
         with pytest.raises(BracketFailure):
             beta_of_lambda(golden_model, 1e6)
 
 
 class TestCalibrateGamma:
-    def test_strategies_agree(self, golden_model):
-        for gamma in (0.15, 0.4, 0.75):
-            a = calibrate_gamma(golden_model, gamma, method="bisect")
-            b = calibrate_gamma(golden_model, gamma, method="alternate")
-            assert abs(a.sigma_hat - b.sigma_hat) <= 1e-8
-            assert abs(a.tau - b.tau) <= 1e-8
-
     def test_consistency_with_lambda_inversion(self, golden_model):
         lam = 0.45
         point = beta_of_lambda(golden_model, lam)
@@ -232,9 +244,10 @@ class TestSETrajectory:
         assert np.all(diffs <= 1e-14) or np.all(diffs >= -1e-14)
         assert s[-1] == pytest.approx(GOLDEN_SIGMA_HAT**2, abs=1e-10)
 
-    def test_fixed_detection_limit_matches_calibration(self, golden_model):
-        traj = se_trajectory(golden_model, FixedDetection(0.4), 200)
-        point = calibrate_gamma(golden_model, 0.4)
+    @pytest.mark.parametrize("gamma", [0.15, 0.4, 0.75])
+    def test_fixed_detection_limit_matches_calibration(self, golden_model, gamma):
+        traj = se_trajectory(golden_model, FixedDetection(gamma), 200)
+        point = calibrate_gamma(golden_model, gamma)
         assert traj.sigma[-1] == pytest.approx(point.sigma_hat, abs=1e-8)
         assert traj.tau[-1] == pytest.approx(point.tau, abs=1e-8)
 
