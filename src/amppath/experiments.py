@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erfcx
 
+from ._brent import brentq
 from .amp import amp_run
 from .exceptions import Divergence, RangeError
 from .instances import InstanceConfig, SparseSpec, compute_observables, sample_instance
@@ -41,12 +41,17 @@ def _curve_point(z: float) -> tuple[float, float]:
     return delta, rho
 
 
+# the far end of rho_of_delta's bracket on z, and the least delta it reaches
+_Z_MAX = 37.0
+_DELTA_MIN = _curve_point(_Z_MAX)[0]
+
+
 def rho_of_delta(delta: float) -> float:
     """Critical sparsity ratio rho at undersampling delta, by inverting the
     parametric curve in its (monotone) delta coordinate."""
-    if not 0.0 < delta < 1.0:
-        raise RangeError(f"delta must be in (0, 1), got {delta}")
-    z = brentq(lambda s: _curve_point(s)[0] - delta, 1e-8, 37.0, xtol=1e-14)
+    if not _DELTA_MIN <= delta < 1.0:
+        raise RangeError(f"delta must be in [{_DELTA_MIN:.6g}, 1), got {delta}")
+    z = brentq(lambda s: _curve_point(s)[0] - delta, 1e-8, _Z_MAX, xtol=1e-14)
     return _curve_point(z)[1]
 
 

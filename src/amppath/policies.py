@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .exceptions import RangeError, RankError
 from .priors import Prior, detection_prob
 

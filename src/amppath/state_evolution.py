@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.optimize import brentq
-
+from ._brent import brentq
 from .exceptions import BracketFailure, NegativeLambda, NonConvergence, RangeError
 from .policies import ThresholdPolicy
 from .priors import Prior, PsiParams, atom_risk, detection_prob, psi_map, risk

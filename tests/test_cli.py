@@ -350,6 +350,19 @@ class TestErrorPaths:
         code, _ = run(tmp_path, "overflow", "se-solve", *args)
         assert code == expected
 
+    def test_phase_delta_below_curve_is_config_error(self, tmp_path, capsys):
+        # the curve's delta coordinate reaches down to about 1.15e-299 only;
+        # below that the error names delta, not the root-finder's bracket
+        code, out = run(
+            tmp_path, "tinydelta", "phase-transition", "--big-n", "50", "--delta-min", "1e-300",
+            "--delta-max", "1e-300", "--delta-points", "1", "--rho-points", "1", "--trials", "1",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "delta must be in [1.14595e-299, 1), got 1e-300" in err
+        assert "f(a) and f(b)" not in err
+        assert not out.exists()
+
     def test_amp_run_checks_policy_before_sampling(self, tmp_path, monkeypatch):
         def no_sampling(config):
             raise AssertionError("instance sampled before the policy was checked")
@@ -402,13 +415,24 @@ class TestErrorPaths:
         assert captured.out.startswith("lambda,beta,tau,")
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # every CLI call pays its imports, and scipy.stats would add about 0.5 s
-    # to them (measured on 2 cores), for two statistics numpy computes
+def _loaded_by_cli_import(module):
+    # whether a fresh interpreter's `import amppath.cli` loads the module
     src = str(Path(amppath.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, amppath.cli; print('scipy.stats' in sys.modules)"
+    probe = f"import sys, amppath.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # every CLI call pays its imports, and scipy.stats would add about 0.5 s
+    # to them (measured on 2 cores), for two statistics numpy computes
+    assert not _loaded_by_cli_import("scipy.stats")
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize would add about 0.3 s to every CLI call (measured on
+    # 2 cores) for brentq alone, which amppath._brent ports
+    assert not _loaded_by_cli_import("scipy.optimize")
