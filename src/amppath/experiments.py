@@ -181,6 +181,8 @@ class SweepConfig:
             raise RangeError("sweep needs noisy instances (state evolution assumes noise)")
         if not math.isfinite(self.solver_tol):
             raise RangeError(f"solver tol must be finite, got {self.solver_tol}")
+        if self.solver_max_iter < 1:
+            raise RangeError(f"solver max_iter must be >= 1, got {self.solver_max_iter}")
 
 
 def model_for_instance(cfg: InstanceConfig) -> SEModel:

@@ -4,6 +4,10 @@ Solves min_x 0.5 ||y - A x||_2^2 + lam ||x||_1 by accelerated proximal
 gradient with step 1/L (L the squared top singular value, from power
 iteration) and restart-on-increase, which keeps the objective monotone up
 to rounding; a plain step that still raises it halves the step.
+An accepted step costs two matrix products (A x and A^T r at the new
+iterate), a rejected one only A x: the gradient at the momentum point
+v = x + m (x - x_prev) is linear in v, so it is carried as
+g + m (g - g_prev) instead of being recomputed.
 The KKT residual certifies the answer: with g = A^T (y - A x), optimality
 means g_i = lam * sign(x_i) on the support and |g_i| <= lam off it.
 """
@@ -111,9 +115,10 @@ def lasso_solve(
     step = 1.0 / L
 
     x = np.zeros(A.shape[1])
-    v = x
-    t_momentum = 1.0
     r = A @ x - y
+    g = A.T @ r  # gradient of the smooth part at x
+    v, grad_v = x, g
+    t_momentum = 1.0
     obj = _objective(r, x, lam)
     residual = math.inf
     iterations = 0
@@ -122,7 +127,6 @@ def lasso_solve(
 
     for k in range(1, max_iter + 1):
         iterations = k
-        grad_v = A.T @ (A @ v - y)
         x_new = v - step * grad_v
         x_new = np.sign(x_new) * np.maximum(np.abs(x_new) - step * lam, 0.0)
         r_new = A @ x_new - y
@@ -133,16 +137,19 @@ def lasso_solve(
             # plain step (no momentum) that rises overshoots 1/L, so back off
             if t_momentum == 1.0:
                 step *= 0.5
-            v = x
+            v, grad_v = x, g
             t_momentum = 1.0
         else:
+            g_new = A.T @ r_new
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-            v = x_new + ((t_momentum - 1.0) / t_next) * (x_new - x)
-            x, r, obj, t_momentum = x_new, r_new, obj_new, t_next
+            m = (t_momentum - 1.0) / t_next
+            v = x_new + m * (x_new - x)
+            grad_v = g_new + m * (g_new - g)
+            x, g, obj, t_momentum = x_new, g_new, obj_new, t_next
 
         if k % kkt_every == 0 or k == max_iter:
-            g = A.T @ (-r)
-            residual = _kkt_violation(g, x, lam) if lam > 0.0 else float(np.max(np.abs(g)))
+            # -g is A^T (y - A x) bit for bit: negation is exact
+            residual = _kkt_violation(-g, x, lam) if lam > 0.0 else float(np.max(np.abs(g)))
             if residual <= tol:
                 converged = True
                 break

@@ -264,6 +264,11 @@ class TestLambdaSweep:
                 lambda_grid=(0.1, 0.2),
             )
 
+    def test_iteration_cap_below_one_rejected(self):
+        # a cap of 0 used to write rows with kkt_residual inf
+        with pytest.raises(RangeError, match="max_iter must be >= 1, got 0"):
+            SweepConfig(_noisy_instance(), (0.1,), solver_max_iter=0)
+
     def test_optimal_lambda_shifts_right_with_noise(self):
         # predicted curves: the minimizing lambda grows with the noise level
         prior = sparse_prior(0.05, 1.0, symmetric=False)

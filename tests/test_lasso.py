@@ -25,6 +25,26 @@ def scalar_instance(a, y0):
     return ProblemInstance(A=A, x_o=np.zeros(1), w=np.zeros(1), y=np.array([y0]), config=None)
 
 
+class CountingMatrix(np.ndarray):
+    """A matrix that counts the np.matmul calls it takes part in, through
+    its views too (``A.T``); results come back as plain arrays."""
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.counter[0] += 1
+        inputs = tuple(np.asarray(a) if isinstance(a, CountingMatrix) else a for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def counting_instance(inst):
+    A = inst.A.view(CountingMatrix)
+    A.counter = [0]
+    return ProblemInstance(A=A, x_o=inst.x_o, w=inst.w, y=inst.y, config=inst.config), A.counter
+
+
 class TestPowerIteration:
     def test_against_svd(self):
         gen = np.random.default_rng(12)
@@ -136,6 +156,31 @@ class TestLassoSolve:
         backed_off = lasso_solve(inst, 0.1, tol=1e-10, max_iter=20000, lipschitz=factor * lipschitz)
         assert exact.converged and backed_off.converged
         assert backed_off.objective == pytest.approx(exact.objective, rel=1e-12)
+
+    @pytest.mark.parametrize("factor", [1.0, 0.3])
+    def test_two_matrix_products_per_step(self, factor):
+        # A x and A^T r at each accepted iterate, A x alone on a rejected
+        # step, two to start; the KKT check reuses the carried gradient.
+        # 0.3 L makes the momentum steps overshoot, so some are rejected
+        inst = make_instance(seed=11)
+        lipschitz = factor * power_iteration_sq_norm(inst.A)
+        counted, matmuls = counting_instance(inst)
+        result = lasso_solve(counted, 0.1, tol=1e-10, max_iter=20000, lipschitz=lipschitz,
+                             kkt_every=1)
+        assert result.converged
+        # at least A x_new on every step: the counter sees the solver's products
+        assert result.iterations + 2 <= matmuls[0] <= 2 * result.iterations + 2
+
+    @pytest.mark.parametrize("max_iter", [20000, 3])
+    def test_reported_residual_is_the_certificate(self, max_iter):
+        # the residual the solver stops on is kkt_residual of its answer,
+        # bit for bit: the gradient it checks is a fresh A^T r, never the
+        # linear combination it steps with; a capped solve checks on its
+        # last step, off the kkt_every cadence
+        inst = make_instance(seed=6)
+        result = lasso_solve(inst, 0.15, max_iter=max_iter, kkt_every=10)
+        assert result.converged == (max_iter > 3)
+        assert result.kkt_residual == kkt_residual(inst, 0.15, result.x_hat)
 
     def test_support_shrinks_along_path_statistically(self):
         # no per-instance guarantee, but on a random instance the trend holds
