@@ -116,6 +116,8 @@ def amp_run(
     """
     if max_iter < 1:
         raise RangeError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0.0 <= conv_tol < math.inf:
+        raise RangeError(f"conv_tol must be finite and >= 0, got {conv_tol}")
     A, y, x_o = instance.A, instance.y, instance.x_o
     At = A.T
     n, N = A.shape

@@ -25,6 +25,7 @@ from .rng import trial_seed
 from .state_evolution import SEModel, beta_of_lambda
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+_SWEEP_MAX_ITER = 20000  # FISTA cap; the README sweep's lambda 0.0025 takes 8070
 
 
 def _curve_point(z: float) -> tuple[float, float]:
@@ -75,8 +76,10 @@ class PhaseGridConfig:
             raise RangeError("delta grid must lie in (0, 1)")
         if self.trials < 1 or self.rho_points < 1:
             raise RangeError("need at least one trial and one rho point")
-        if not all(math.isfinite(v) for v in (*self.rho_band, self.tol)):
-            raise RangeError(f"rho band and tol must be finite, got {self.rho_band}, {self.tol}")
+        if not all(math.isfinite(v) for v in self.rho_band):
+            raise RangeError(f"rho band must be finite, got {self.rho_band}")
+        if not 0.0 < self.tol < math.inf:
+            raise RangeError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -145,18 +148,18 @@ def estimate_half_success_rho(rhos, successes) -> float:
     return float(rhos[-1] if successes[-1] >= 0.5 else rhos[0])
 
 
-def interpolate_display_grid(grid: PhaseGrid, n_rho: int = 20) -> tuple[np.ndarray, np.ndarray]:
+def interpolate_display_grid(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     """Resample the band onto a rectangular display grid.
 
-    Rows are n_rho equispaced rho values spanning the theoretical curve
+    Rows are 20 equispaced rho values spanning the theoretical curve
     over the delta range; each column interpolates that delta's band
     linearly (values clamp to the band-edge successes outside it).
-    Returns (display_rho_values, matrix of shape (n_rho, n_delta)).
+    Returns (display_rho_values, matrix of shape (20, n_delta)).
     """
     lo = float(np.min(grid.theory_rho))
     hi = float(np.max(grid.theory_rho))
-    display = np.linspace(lo, hi, n_rho)
-    out = np.empty((n_rho, grid.delta_values.size))
+    display = np.linspace(lo, hi, 20)
+    out = np.empty((display.size, grid.delta_values.size))
     for di in range(grid.delta_values.size):
         out[:, di] = np.interp(display, grid.rho_values[di], grid.success[di])
     return display, out
@@ -165,13 +168,12 @@ def interpolate_display_grid(grid: PhaseGrid, n_rho: int = 20) -> tuple[np.ndarr
 @dataclass(frozen=True)
 class SweepConfig:
     """Empirical lambda sweep on one seeded instance, with the asymptotic
-    predictions computed side by side."""
+    predictions computed side by side; FISTA runs _SWEEP_MAX_ITER steps at most."""
 
     instance: InstanceConfig
     lambda_grid: tuple[float, ...]
     solver: str = "fista"  # or "amp"
     solver_tol: float = 1e-6
-    solver_max_iter: int = 5000
     amp_max_iter: int = 500
 
     def __post_init__(self):
@@ -179,10 +181,8 @@ class SweepConfig:
             raise RangeError(f"unknown solver {self.solver!r}")
         if self.instance.noise_variance <= 0.0:
             raise RangeError("sweep needs noisy instances (state evolution assumes noise)")
-        if not math.isfinite(self.solver_tol):
-            raise RangeError(f"solver tol must be finite, got {self.solver_tol}")
-        if self.solver_max_iter < 1:
-            raise RangeError(f"solver max_iter must be >= 1, got {self.solver_max_iter}")
+        if not 0.0 <= self.solver_tol < math.inf:
+            raise RangeError(f"solver tol must be finite and >= 0, got {self.solver_tol}")
 
 
 def model_for_instance(cfg: InstanceConfig) -> SEModel:
@@ -211,7 +211,7 @@ def lambda_sweep_empirical(cfg: SweepConfig) -> list[dict]:
         point = beta_of_lambda(model, lam)
         if cfg.solver == "fista":
             result = lasso_solve(
-                instance, lam, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter, lipschitz=lipschitz
+                instance, lam, tol=cfg.solver_tol, max_iter=_SWEEP_MAX_ITER, lipschitz=lipschitz
             )
             x_hat = result.x_hat
             converged = result.converged
@@ -230,7 +230,7 @@ def lambda_sweep_empirical(cfg: SweepConfig) -> list[dict]:
             x_hat = state.x
             converged = state.stop_reason == "converged"
             zero_tol = 0.0
-            kkt = kkt_residual(instance, lam, x_hat) if lam > 0 else math.nan
+            kkt = kkt_residual(instance, lam, x_hat)
         obs = compute_observables(x_hat, instance.x_o, zero_tol=zero_tol)
         rows.append(
             {

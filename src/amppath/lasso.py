@@ -9,7 +9,8 @@ iterate), a rejected one only A x: the gradient at the momentum point
 v = x + m (x - x_prev) is linear in v, so it is carried as
 g + m (g - g_prev) instead of being recomputed.
 The KKT residual certifies the answer: with g = A^T (y - A x), optimality
-means g_i = lam * sign(x_i) on the support and |g_i| <= lam off it.
+means g_i = lam * sign(x_i) on the support and |g_i| <= lam off it; the
+solver checks it every _KKT_EVERY steps on the gradient it carries.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .instances import ProblemInstance
 
 _POWER_RTOL = 1e-10
 _POWER_MAX_ITER = 1000
+_KKT_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -70,17 +72,19 @@ def _kkt_violation(g: np.ndarray, x: np.ndarray, lam: float) -> float:
     on = x != 0.0
     viol_on = np.max(np.abs(g[on] - lam * np.sign(x[on]))) if np.any(on) else 0.0
     viol_off = np.max(np.maximum(np.abs(g[~on]) - lam, 0.0)) if np.any(~on) else 0.0
-    return float(max(viol_on, viol_off)) / lam
+    # at lam = 0 there is no scale to divide by: the violation is max |g_i|
+    return float(max(viol_on, viol_off)) / (lam if lam > 0.0 else 1.0)
 
 
 def kkt_residual(instance: ProblemInstance, lam: float, x_hat: np.ndarray) -> float:
     """Normalized violation of the subgradient optimality conditions.
 
     max over the support of |g_i - lam*sign(x_i)| and over the rest of
-    (|g_i| - lam)_+, divided by lam.  Zero exactly at a minimizer.
+    (|g_i| - lam)_+, divided by lam (undivided at lam = 0, where it is
+    max |g_i|).  Zero exactly at a minimizer.
     """
-    if not 0.0 < lam < math.inf:
-        raise RangeError(f"lambda must be finite and > 0 for the KKT certificate, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise RangeError(f"lambda must be finite and >= 0 for the KKT certificate, got {lam}")
     return _kkt_violation(instance.A.T @ (instance.y - instance.A @ x_hat), x_hat, lam)
 
 
@@ -90,21 +94,22 @@ def lasso_solve(
     tol: float = 1e-6,
     max_iter: int = 5000,
     lipschitz: float | None = None,
-    kkt_every: int = 10,
 ) -> LassoResult:
     """Accelerated proximal gradient for the LASSO at one lambda.
 
-    Terminates when the KKT residual drops to tol (checked every
-    kkt_every iterations) or at max_iter; non-convergence is reported via
-    the flag, never an exception.  Pass a precomputed ``lipschitz``
-    (squared top singular value) to amortize it across many lambdas.
-    For lam = 0 the minimizer may be non-unique in the undersampled
-    regime; the stopping rule then uses the plain gradient sup-norm.
+    Terminates when the KKT residual of ``kkt_residual`` drops to tol
+    (checked every _KKT_EVERY iterations and on the last) or at max_iter;
+    non-convergence is reported via the flag, never an exception.  Pass a
+    precomputed ``lipschitz`` (squared top singular value) to amortize it
+    across many lambdas.  For lam = 0 the minimizer may be non-unique in
+    the undersampled regime; the residual is then the gradient sup-norm.
     """
     if not 0.0 <= lam < math.inf:
         raise RangeError(f"lambda must be finite and >= 0, got {lam}")
-    if kkt_every < 1:
-        raise RangeError(f"kkt_every must be >= 1, got {kkt_every}")
+    if not 0.0 <= tol < math.inf:
+        raise RangeError(f"tol must be finite and >= 0, got {tol}")
+    if max_iter < 1:
+        raise RangeError(f"max_iter must be >= 1, got {max_iter}")
     if lipschitz is not None and not 0.0 < lipschitz < math.inf:
         raise RangeError(f"lipschitz must be finite and > 0, got {lipschitz}")
     A, y = instance.A, instance.y
@@ -147,9 +152,9 @@ def lasso_solve(
             grad_v = g_new + m * (g_new - g)
             x, g, obj, t_momentum = x_new, g_new, obj_new, t_next
 
-        if k % kkt_every == 0 or k == max_iter:
+        if k % _KKT_EVERY == 0 or k == max_iter:
             # -g is A^T (y - A x) bit for bit: negation is exact
-            residual = _kkt_violation(-g, x, lam) if lam > 0.0 else float(np.max(np.abs(g)))
+            residual = _kkt_violation(-g, x, lam)
             if residual <= tol:
                 converged = True
                 break

@@ -16,7 +16,7 @@ single factor of sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exceptions import RangeError
 
@@ -155,7 +155,7 @@ class PsiParams:
     delta: float
     sigma_w_sq: float
     prior: Prior
-    beta: float = field(default=0.0)
+    beta: float
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:

@@ -258,3 +258,9 @@ class TestAmpRun:
     def test_max_iter_validation(self):
         with pytest.raises(RangeError):
             amp_run(make_instance(), FixedDetection(0.5), max_iter=0)
+
+    @pytest.mark.parametrize("conv_tol", [-1.0, np.nan, np.inf])
+    def test_conv_tol_validation(self, conv_tol):
+        # a negative or NaN tolerance used to run silently to the cap
+        with pytest.raises(RangeError, match="conv_tol must be finite and >= 0"):
+            amp_run(make_instance(), FixedDetection(0.5), conv_tol=conv_tol)

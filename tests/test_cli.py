@@ -162,6 +162,15 @@ class TestCsvSchemas:
             assert r["empirical_dr"] == "0" and r["converged"] == "1"
             assert float(r["kkt_residual"]) == 0.0
 
+    def test_amp_sweep_certifies_lambda_zero(self, tmp_path):
+        # at lambda 0 the residual is the gradient sup-norm, as for FISTA
+        code, out = run(
+            tmp_path, "sweep", "sweep", "--n", "100", "--big-n", "200", "--k", "10",
+            "--lambda-min", "0", "--lambda-max", "0.2", "--lambda-points", "2", "--solver", "amp",
+        )
+        assert code == 0
+        assert "nan" not in out.read_text()
+
     def test_phase_columns_and_display_grid(self, tmp_path):
         display = tmp_path / "display.csv"
         code, out = run(
@@ -286,6 +295,13 @@ class TestErrorPaths:
             ["sweep", "--tol", "nan", "--n", "50", "--big-n", "100", "--k", "5",
              "--lambda-points", "2"],
             ["phase-transition", "--band-lo", "nan", "--big-n", "50", "--delta-points", "1",
+             "--rho-points", "2", "--trials", "1"],
+            # negative tolerances fail the same range checks
+            ["amp-run", "--conv-tol", "-1", "--n", "100", "--big-n", "200", "--k", "10",
+             "--gamma", "0.3"],
+            ["sweep", "--tol", "-1", "--n", "50", "--big-n", "100", "--k", "5",
+             "--lambda-points", "2"],
+            ["phase-transition", "--tol", "-1", "--big-n", "50", "--delta-points", "1",
              "--rho-points", "2", "--trials", "1"],
         ],
         ids=lambda args: "-".join(a.lstrip("-") for a in args[:3]),

@@ -139,8 +139,8 @@ class TestPhaseGrid:
             n_signal=120, delta_grid=(0.3, 0.6), rho_points=5, trials=2, base_seed=5
         )
         grid = phase_transition_grid(cfg)
-        display_rho, matrix = interpolate_display_grid(grid, n_rho=7)
-        assert matrix.shape == (7, 2)
+        display_rho, matrix = interpolate_display_grid(grid)
+        assert matrix.shape == (20, 2)
         assert display_rho[0] == pytest.approx(float(np.min(grid.theory_rho)))
         assert display_rho[-1] == pytest.approx(float(np.max(grid.theory_rho)))
         assert np.all((0.0 <= matrix) & (matrix <= 1.0))
@@ -159,9 +159,13 @@ def _noisy_instance():
         (lambda: PhaseGridConfig(tol=math.nan), RangeError),
         (lambda: PhaseGridConfig(rho_band=(math.nan, 1.2)), RangeError),
         (lambda: SweepConfig(_noisy_instance(), (0.1,), solver_tol=math.nan), RangeError),
+        # tolerances no result can meet: no relative error is below 0, and
+        # no KKT residual below -1
+        (lambda: PhaseGridConfig(tol=0.0), RangeError),
+        (lambda: SweepConfig(_noisy_instance(), (0.1,), solver_tol=-1.0), RangeError),
     ],
     ids=["noise-nan", "noise-inf", "amplitude-nan", "phase-tol-nan", "rho-band-nan",
-         "sweep-tol-nan"],
+         "sweep-tol-nan", "phase-tol-zero", "sweep-tol-negative"],
 )
 def test_config_rejects_non_finite(build, error):
     with pytest.raises(error):
@@ -198,7 +202,6 @@ class TestLambdaSweep:
             lambda_grid=tuple(np.linspace(0.1, 1.0, 6)),
             solver="fista",
             solver_tol=1e-6,
-            solver_max_iter=20000,
         )
         rows = lambda_sweep_empirical(cfg)
         assert all(r["converged"] for r in rows)
@@ -264,11 +267,6 @@ class TestLambdaSweep:
                 lambda_grid=(0.1, 0.2),
             )
 
-    def test_iteration_cap_below_one_rejected(self):
-        # a cap of 0 used to write rows with kkt_residual inf
-        with pytest.raises(RangeError, match="max_iter must be >= 1, got 0"):
-            SweepConfig(_noisy_instance(), (0.1,), solver_max_iter=0)
-
     def test_optimal_lambda_shifts_right_with_noise(self):
         # predicted curves: the minimizing lambda grows with the noise level
         prior = sparse_prior(0.05, 1.0, symmetric=False)
@@ -301,7 +299,6 @@ class TestPaperScaleReproductions:
             lambda_grid=tuple(lams),
             solver="fista",
             solver_tol=1e-6,
-            solver_max_iter=30000,
         )
         rows = lambda_sweep_empirical(cfg)
         drs = [r["empirical_dr"] for r in rows]
@@ -320,7 +317,6 @@ class TestPaperScaleReproductions:
                 lambda_grid=tuple(np.linspace(0.25, 8.0, 32)),
                 solver="fista",
                 solver_tol=1e-6,
-                solver_max_iter=30000,
             )
             rows = lambda_sweep_empirical(cfg)
             mses = [r["empirical_mse"] for r in rows]

@@ -61,17 +61,12 @@ class TestPowerIteration:
         A = np.array([[1.0, -1.0]])
         assert power_iteration_sq_norm(A) == pytest.approx(2.0, rel=1e-12)
         inst = ProblemInstance(A=A, x_o=np.zeros(2), w=np.zeros(1), y=np.array([3.0]), config=None)
-        result = lasso_solve(inst, 0.1, tol=1e-10, kkt_every=1)
+        result = lasso_solve(inst, 0.1, tol=1e-10)
         assert result.converged
         assert kkt_residual(inst, 0.1, result.x_hat) <= 1e-10
 
 
 class TestLassoSolve:
-    @pytest.mark.parametrize("kkt_every", [0, -1])
-    def test_kkt_every_validation(self, kkt_every):
-        with pytest.raises(RangeError):
-            lasso_solve(make_instance(), 0.1, kkt_every=kkt_every)
-
     def test_zero_solution_for_large_lambda(self):
         inst = make_instance()
         lam_max = np.max(np.abs(inst.A.T @ inst.y))
@@ -83,7 +78,7 @@ class TestLassoSolve:
         # minimizer of 0.5 (y - a x)^2 + lam |x| is eta(y/a; lam/a^2)
         for a, y0, lam in ((2.0, 3.0, 0.5), (0.7, -1.3, 0.2), (1.5, 0.4, 1.0)):
             inst = scalar_instance(a, y0)
-            result = lasso_solve(inst, lam, tol=1e-12, max_iter=10000, kkt_every=1)
+            result = lasso_solve(inst, lam, tol=1e-12, max_iter=10000)
             expected = soft_threshold(y0 / a, lam / a**2)
             assert result.x_hat[0] == pytest.approx(expected, abs=1e-10)
 
@@ -109,7 +104,7 @@ class TestLassoSolve:
             k = int(gen.integers(1, max(2, n // 4)))
             inst = make_instance(seed=100 + case, n=n, N=N, k=k, noise=0.2)
             lam = float(gen.uniform(0.05, 0.5))
-            fista = lasso_solve(inst, lam, tol=1e-10, max_iter=50000, kkt_every=5)
+            fista = lasso_solve(inst, lam, tol=1e-10, max_iter=50000)
             assert fista.converged
             cd_x = coordinate_descent_lasso(inst.A, inst.y, lam)
             r = inst.y - inst.A @ cd_x
@@ -130,6 +125,17 @@ class TestLassoSolve:
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(RangeError):
             lasso_solve(make_instance(), lam)
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_bad_tol_rejected(self, tol):
+        # a negative tol used to run every solve to the cap, converged False
+        with pytest.raises(RangeError, match="tol must be finite and >= 0"):
+            lasso_solve(make_instance(), 0.1, tol=tol)
+
+    def test_iteration_cap_below_one_rejected(self):
+        # a cap of 0 used to return kkt_residual inf
+        with pytest.raises(RangeError, match="max_iter must be >= 1, got 0"):
+            lasso_solve(make_instance(), 0.1, max_iter=0)
 
     def test_zero_matrix_certifies_zero(self):
         # L = 0: every x has the objective of x = 0, and A^T r = 0 meets the KKT test
@@ -165,22 +171,23 @@ class TestLassoSolve:
         inst = make_instance(seed=11)
         lipschitz = factor * power_iteration_sq_norm(inst.A)
         counted, matmuls = counting_instance(inst)
-        result = lasso_solve(counted, 0.1, tol=1e-10, max_iter=20000, lipschitz=lipschitz,
-                             kkt_every=1)
+        result = lasso_solve(counted, 0.1, tol=1e-10, max_iter=20000, lipschitz=lipschitz)
         assert result.converged
         # at least A x_new on every step: the counter sees the solver's products
         assert result.iterations + 2 <= matmuls[0] <= 2 * result.iterations + 2
 
-    @pytest.mark.parametrize("max_iter", [20000, 3])
-    def test_reported_residual_is_the_certificate(self, max_iter):
+    @pytest.mark.parametrize(
+        "lam, max_iter", [(0.15, 20000), (0.15, 3), (0.0, 20000)], ids=["20000", "3", "lambda-0"]
+    )
+    def test_reported_residual_is_the_certificate(self, lam, max_iter):
         # the residual the solver stops on is kkt_residual of its answer,
         # bit for bit: the gradient it checks is a fresh A^T r, never the
         # linear combination it steps with; a capped solve checks on its
-        # last step, off the kkt_every cadence
+        # last step, off the 10-step cadence; lambda 0 takes the same rule
         inst = make_instance(seed=6)
-        result = lasso_solve(inst, 0.15, max_iter=max_iter, kkt_every=10)
+        result = lasso_solve(inst, lam, max_iter=max_iter)
         assert result.converged == (max_iter > 3)
-        assert result.kkt_residual == kkt_residual(inst, 0.15, result.x_hat)
+        assert result.kkt_residual == kkt_residual(inst, lam, result.x_hat)
 
     def test_support_shrinks_along_path_statistically(self):
         # no per-instance guarantee, but on a random instance the trend holds
@@ -211,7 +218,7 @@ class TestKktResidual:
     def test_perturbation_grows_continuously(self):
         inst = make_instance(seed=9)
         lam = 0.3
-        result = lasso_solve(inst, lam, tol=1e-11, max_iter=50000, kkt_every=5)
+        result = lasso_solve(inst, lam, tol=1e-11, max_iter=50000)
         base = kkt_residual(inst, lam, result.x_hat)
         prev = base
         for eps in (1e-6, 1e-4, 1e-2, 1.0):
@@ -222,9 +229,16 @@ class TestKktResidual:
             prev = res
         assert prev > 100 * base
 
-    def test_requires_positive_lambda(self):
+    def test_zero_lambda_is_gradient_sup_norm(self):
+        # nothing to divide by at lambda 0: the residual is max |A^T (y - A x)|
+        inst = make_instance(seed=6)
+        x = lasso_solve(inst, 0.15).x_hat
+        g = inst.A.T @ (inst.y - inst.A @ x)
+        assert kkt_residual(inst, 0.0, x) == float(np.max(np.abs(g)))
+
+    def test_negative_lambda_rejected(self):
         with pytest.raises(RangeError):
-            kkt_residual(make_instance(), 0.0, np.zeros(120))
+            kkt_residual(make_instance(), -0.1, np.zeros(120))
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_requires_finite_lambda(self, lam):

@@ -1,6 +1,9 @@
-"""The names exported by ``amppath`` are the library's fixed boundary, so
-adding or removing one must show as an edit to this list."""
+"""The names exported by ``amppath``, and the parameters of its solvers
+and configs, are the library's fixed boundary, so adding or removing one
+must show as an edit to these lists."""
 
+import dataclasses
+import inspect
 import types
 
 import amppath
@@ -41,3 +44,32 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_API
+
+
+# parameters of the calls with tuning values, in order
+PARAMETERS = {
+    "lasso_solve": ["instance", "lam", "tol", "max_iter", "lipschitz"],
+    "amp_run": ["instance", "policy", "max_iter", "conv_tol", "trace"],
+    "kkt_residual": ["instance", "lam", "x_hat"],
+    "solve_sigma_for_beta": ["model", "beta", "sigma_sq0"],
+    "interpolate_display_grid": ["grid"],
+}
+
+FIELDS = {
+    "SweepConfig": ["instance", "lambda_grid", "solver", "solver_tol", "amp_max_iter"],
+    "PhaseGridConfig": ["n_signal", "delta_grid", "rho_band", "rho_points", "trials", "tol",
+                        "max_iter", "gamma", "base_seed"],
+    "PsiParams": ["delta", "sigma_w_sq", "prior", "beta"],
+}
+
+
+def test_parameters_are_pinned():
+    found = {name: list(inspect.signature(getattr(amppath, name)).parameters)
+             for name in PARAMETERS}
+    assert found == PARAMETERS
+
+
+def test_config_fields_are_pinned():
+    found = {name: [f.name for f in dataclasses.fields(getattr(amppath, name))]
+             for name in FIELDS}
+    assert found == FIELDS
