@@ -1,9 +1,9 @@
 """Reference LASSO solver and optimality certificate.
 
 Solves min_x 0.5 ||y - A x||_2^2 + lam ||x||_1 by accelerated proximal
-gradient with step 1/L (L the squared top singular value, from power
-iteration) and restart-on-increase, which keeps the objective monotone up
-to rounding; a plain step that still raises it halves the step.
+gradient with step 1/L (L the squared top singular value, by the Lanczos
+method on A^T A) and restart-on-increase, which keeps the objective
+monotone up to rounding; a plain step that still raises it halves the step.
 An accepted step costs two matrix products (A x and A^T r at the new
 iterate), a rejected one only A x: the gradient at the momentum point
 v = x + m (x - x_prev) is linear in v, so it is carried as
@@ -24,7 +24,7 @@ from .exceptions import RangeError
 from .instances import ProblemInstance
 
 _POWER_RTOL = 1e-10
-_POWER_MAX_ITER = 1000
+_LANCZOS_MAX_ITER = 300
 _KKT_EVERY = 10
 
 
@@ -38,28 +38,51 @@ class LassoResult:
 
 
 def power_iteration_sq_norm(A: np.ndarray) -> float:
-    """Largest squared singular value of A by power iteration on A^T A.
+    """Largest squared singular value of A, by the Lanczos method on A^T A.
 
-    Stops when the eigenvalue estimate changes by less than _POWER_RTOL
-    relative, or after _POWER_MAX_ITER products.
+    The plain three-term recurrence from q = ones/sqrt(N), with no stored
+    basis: each step makes the two products A^T (A q), and the estimate is
+    the top eigenvalue theta of the tridiagonal matrix T the recurrence
+    builds.  It stops when the residual bound beta * |s_k| (s_k the last
+    entry of theta's eigenvector of T) is at most _POWER_RTOL * theta, or
+    after _LANCZOS_MAX_ITER steps.  Ritz values interlace, so theta
+    approaches the true value from below.  An all-zero A gives 0.0; a start
+    vector in the null space of A restarts once from the largest-norm row.
+    Raises RangeError when the estimate is not finite (NaN or inf in A).
+    The name predates the method and is kept as public API.
     """
-    v = np.ones(A.shape[1]) / math.sqrt(A.shape[1])
-    value = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = A.T @ (A @ v)
-        new_value = float(np.linalg.norm(w))
-        if new_value == 0.0:
-            if not A.any():
-                return 0.0
-            # v lies in the null space of A; the largest-norm row of A does not
-            v = A[np.argmax(np.linalg.norm(A, axis=1))]
-            v = v / np.linalg.norm(v)
-            continue
-        v = w / new_value
-        if abs(new_value - value) <= _POWER_RTOL * new_value:
-            return new_value
-        value = new_value
-    return value
+    theta = _lanczos_top_eigenvalue(A, np.ones(A.shape[1]) / math.sqrt(A.shape[1]))
+    if theta == 0.0:
+        if not A.any():
+            return 0.0
+        # the start lies in the null space of A; the largest-norm row does not
+        row = A[np.argmax(np.linalg.norm(A, axis=1))]
+        theta = _lanczos_top_eigenvalue(A, row / np.linalg.norm(row))
+    return theta
+
+
+def _lanczos_top_eigenvalue(A: np.ndarray, q: np.ndarray) -> float:
+    # Lanczos on A^T A from the unit vector q; see power_iteration_sq_norm
+    q_prev = np.zeros_like(q)
+    alphas: list[float] = []
+    betas: list[float] = []
+    beta = 0.0
+    for _ in range(_LANCZOS_MAX_ITER):
+        w = A.T @ (A @ q)
+        alpha = float(q @ w)
+        w -= alpha * q + beta * q_prev
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        eigenvalues, eigenvectors = np.linalg.eigh(T)
+        theta = float(eigenvalues[-1])
+        if not math.isfinite(theta):
+            raise RangeError(f"top singular value estimate is not finite ({theta}): A holds NaN or inf")
+        if beta * abs(eigenvectors[-1, -1]) <= _POWER_RTOL * theta:
+            return theta
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    return theta
 
 
 def _objective(r: np.ndarray, x: np.ndarray, lam: float) -> float:
@@ -99,7 +122,8 @@ def lasso_solve(
 
     Terminates when the KKT residual of ``kkt_residual`` drops to tol
     (checked every _KKT_EVERY iterations and on the last) or at max_iter;
-    non-convergence is reported via the flag, never an exception.  Pass a
+    non-convergence is reported via the flag, never an exception.  NaN or
+    inf in A or y raises RangeError before the first step.  Pass a
     precomputed ``lipschitz`` (squared top singular value) to amortize it
     across many lambdas.  For lam = 0 the minimizer may be non-unique in
     the undersampled regime; the residual is then the gradient sup-norm.
@@ -113,18 +137,21 @@ def lasso_solve(
     if lipschitz is not None and not 0.0 < lipschitz < math.inf:
         raise RangeError(f"lipschitz must be finite and > 0, got {lipschitz}")
     A, y = instance.A, instance.y
-    L = power_iteration_sq_norm(A) if lipschitz is None else float(lipschitz)
-    if L <= 0.0:
-        x = np.zeros(A.shape[1])
-        return LassoResult(x, _objective(y, x, lam), 0.0, 0, True)
-    step = 1.0 / L
-
     x = np.zeros(A.shape[1])
     r = A @ x - y
     g = A.T @ r  # gradient of the smooth part at x
+    obj = _objective(r, x, lam)
+    # NaN or inf in A or y reaches the objective or the gradient at x = 0;
+    # caught here, it cannot run the loop to its cap on NaN iterates
+    if not (math.isfinite(obj) and np.isfinite(g).all()):
+        raise RangeError("objective or gradient at x = 0 is not finite: A or y holds NaN or inf")
+    L = power_iteration_sq_norm(A) if lipschitz is None else float(lipschitz)
+    if L <= 0.0:
+        return LassoResult(x, obj, 0.0, 0, True)
+    step = 1.0 / L
+
     v, grad_v = x, g
     t_momentum = 1.0
-    obj = _objective(r, x, lam)
     residual = math.inf
     iterations = 0
     converged = False

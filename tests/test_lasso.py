@@ -45,13 +45,54 @@ def counting_instance(inst):
     return ProblemInstance(A=A, x_o=inst.x_o, w=inst.w, y=inst.y, config=inst.config), A.counter
 
 
+def known_singular_values(n, N, second, seed):
+    # U diag(s) V^T with orthonormal U (n x n) and V (N x n): top value 1,
+    # the next one `second`, the rest spread below 0.9
+    gen = np.random.default_rng(seed)
+    U = np.linalg.qr(gen.standard_normal((n, n)))[0]
+    V = np.linalg.qr(gen.standard_normal((N, n)))[0]
+    s = np.concatenate(([1.0, second], np.linspace(0.9, 0.1, n - 2)))
+    return (U * s) @ V.T
+
+
+def with_entry(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
 class TestPowerIteration:
     def test_against_svd(self):
         gen = np.random.default_rng(12)
         for _ in range(5):
             A = gen.standard_normal((30, 50))
             exact = np.linalg.svd(A, compute_uv=False)[0] ** 2
-            assert power_iteration_sq_norm(A) == pytest.approx(exact, rel=1e-8)
+            assert power_iteration_sq_norm(A) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("second", [1 - 1e-3, 1 - 1e-6])
+    @pytest.mark.parametrize("shape", [(40, 80), (200, 400)])
+    def test_close_second_singular_value(self, shape, second):
+        # a small gap slows the estimate but must not stop it short of L = 1
+        for seed in range(3):
+            A = known_singular_values(*shape, second, seed)
+            assert power_iteration_sq_norm(A) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matrix_products_per_call(self, seed):
+        # Lanczos makes 108-134 products here, power iteration 396-1512
+        A = np.random.default_rng(seed).standard_normal((500, 1000)) / np.sqrt(500)
+        counted = A.view(CountingMatrix)
+        counted.counter = [0]
+        assert power_iteration_sq_norm(counted) == pytest.approx(
+            np.linalg.svd(A, compute_uv=False)[0] ** 2, rel=1e-12
+        )
+        assert counted.counter[0] <= 300
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, value):
+        A = with_entry(np.random.default_rng(0).standard_normal((30, 50)), (3, 7), value)
+        with pytest.raises(RangeError, match="not finite"):
+            power_iteration_sq_norm(A)
 
     def test_zero_matrix(self):
         assert power_iteration_sq_norm(np.zeros((4, 6))) == 0.0
@@ -146,6 +187,18 @@ class TestLassoSolve:
         assert result.converged and result.iterations == 0
         assert result.kkt_residual == 0.0
         assert result.objective == 0.5 * float(y @ y)
+
+    @pytest.mark.parametrize("lipschitz", [None, 1.0])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["A", "y"])
+    def test_non_finite_instance_rejected(self, where, value, lipschitz):
+        # a NaN used to run all iterations and return NaN, converged False
+        inst = make_instance()
+        A = with_entry(inst.A, (3, 7), value) if where == "A" else inst.A
+        y = with_entry(inst.y, 5, value) if where == "y" else inst.y
+        bad = ProblemInstance(A=A, x_o=inst.x_o, w=inst.w, y=y, config=inst.config)
+        with pytest.raises(RangeError, match="not finite"):
+            lasso_solve(bad, 0.1, lipschitz=lipschitz)
 
     @pytest.mark.parametrize("lipschitz", [0.0, -1.0, np.nan, np.inf])
     def test_bad_lipschitz_rejected(self, lipschitz):
