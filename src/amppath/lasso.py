@@ -1,13 +1,20 @@
 """Reference LASSO solver and optimality certificate.
 
 Solves min_x 0.5 ||y - A x||_2^2 + lam ||x||_1 by accelerated proximal
-gradient with step 1/L (L the squared top singular value, by the Lanczos
-method on A^T A) and restart-on-increase, which keeps the objective
-monotone up to rounding; a plain step that still raises it halves the step.
-An accepted step costs two matrix products (A x and A^T r at the new
-iterate), a rejected one only A x: the gradient at the momentum point
-v = x + m (x - x_prev) is linear in v, so it is carried as
-g + m (g - g_prev) instead of being recomputed.
+gradient with an adaptive step and restart-on-increase, which keeps the
+objective monotone up to rounding.  The step starts at 1/L (L the squared
+top singular value, by the Lanczos method on A^T A) and follows the
+curvature the iterates see, which is often well below L: each step from v
+to x_new is tested against the quadratic upper bound of the smooth part,
+in the cancellation-free form step * ||A (x_new - v)||^2 <= ||x_new - v||^2
+(Beck and Teboulle 2009).  A step that fails it is rejected and the step
+halved; one that passes and lowers the objective is accepted and the step
+grows by _STEP_GROWTH (Scheinberg, Goldfarb and Bai 2014); one that passes
+but raises the objective drops the momentum.  An accepted step costs two
+matrix products (A x and A^T r at the new iterate), a rejected step or a
+restart only A x: the residual and the gradient at the momentum point
+v = x + m (x - x_prev) are linear in v, so they are carried as
+r + m (r - r_prev) and g + m (g - g_prev) instead of being recomputed.
 The KKT residual certifies the answer: with g = A^T (y - A x), optimality
 means g_i = lam * sign(x_i) on the support and |g_i| <= lam off it; the
 solver checks it every _KKT_EVERY steps on the gradient it carries.
@@ -26,6 +33,7 @@ from .instances import ProblemInstance
 _POWER_RTOL = 1e-10
 _LANCZOS_MAX_ITER = 300
 _KKT_EVERY = 10
+_STEP_GROWTH = 1.05
 
 
 @dataclass(frozen=True)
@@ -125,8 +133,10 @@ def lasso_solve(
     non-convergence is reported via the flag, never an exception.  NaN or
     inf in A or y raises RangeError before the first step.  Pass a
     precomputed ``lipschitz`` (squared top singular value) to amortize it
-    across many lambdas.  For lam = 0 the minimizer may be non-unique in
-    the undersampled regime; the residual is then the gradient sup-norm.
+    across many lambdas; it sets only the first step, 1/lipschitz, so an
+    estimate off in either direction costs iterations, not accuracy.  For
+    lam = 0 the minimizer may be non-unique in the undersampled regime; the
+    residual is then the gradient sup-norm.
     """
     if not 0.0 <= lam < math.inf:
         raise RangeError(f"lambda must be finite and >= 0, got {lam}")
@@ -150,7 +160,7 @@ def lasso_solve(
         return LassoResult(x, obj, 0.0, 0, True)
     step = 1.0 / L
 
-    v, grad_v = x, g
+    v, grad_v, r_v = x, g, r
     t_momentum = 1.0
     residual = math.inf
     iterations = 0
@@ -163,13 +173,16 @@ def lasso_solve(
         x_new = np.sign(x_new) * np.maximum(np.abs(x_new) - step * lam, 0.0)
         r_new = A @ x_new - y
         obj_new = _objective(r_new, x_new, lam)
+        d_r, d_x = r_new - r_v, x_new - v
 
-        if obj_new > obj + rounding * abs(obj):
-            # restart: drop momentum, retake a plain descent step from x; a
-            # plain step (no momentum) that rises overshoots 1/L, so back off
-            if t_momentum == 1.0:
-                step *= 0.5
-            v, grad_v = x, g
+        if step * float(d_r @ d_r) > float(d_x @ d_x):
+            # the curvature of the step, |A d|^2 / |d|^2, exceeds 1/step: the
+            # quadratic model no longer bounds the objective, so halve and
+            # retry from v
+            step *= 0.5
+        elif obj_new > obj + rounding * abs(obj):
+            # restart: drop momentum, retake a plain descent step from x
+            v, grad_v, r_v = x, g, r
             t_momentum = 1.0
         else:
             g_new = A.T @ r_new
@@ -177,7 +190,9 @@ def lasso_solve(
             m = (t_momentum - 1.0) / t_next
             v = x_new + m * (x_new - x)
             grad_v = g_new + m * (g_new - g)
-            x, g, obj, t_momentum = x_new, g_new, obj_new, t_next
+            r_v = r_new + m * (r_new - r)
+            x, g, r, obj, t_momentum = x_new, g_new, r_new, obj_new, t_next
+            step *= _STEP_GROWTH
 
         if k % _KKT_EVERY == 0 or k == max_iter:
             # -g is A^T (y - A x) bit for bit: negation is exact

@@ -41,10 +41,21 @@ def substreams(master_seed: int, count: int) -> list[np.random.Generator]:
 
 
 def open_uniform(gen: np.random.Generator, size) -> np.ndarray:
-    """Uniforms on the open interval (0, 1): (k + 0.5) / 2^53."""
-    return (gen.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) * 2.0**-53
+    """Uniforms on the open interval (0, 1): (k + 0.5) / 2^53.
+
+    ``gen.random`` draws k / 2^53 from the top 53 bits of each 64-bit
+    output, the bits ``gen.integers(0, 2^53)`` takes (a power-of-two range
+    needs no rejection), and k / 2^53 + 2^-54 is (k + 0.5) / 2^53 exactly,
+    so the values and the generator state match the integer formula.
+    """
+    return gen.random(size) + 2.0**-54
 
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """N(0,1) variates via the inverse CDF of open-interval uniforms."""
     return ndtri(open_uniform(gen, size))
+
+
+def fill_standard_normal(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the variates standard_normal(gen, out.shape) returns."""
+    return ndtri(open_uniform(gen, out.shape), out=out)

@@ -9,8 +9,11 @@ from amppath import (
     parse_prior,
     sample_instance,
     splitmix64,
+    standard_normal,
+    substreams,
     trial_seed,
 )
+from amppath.rng import open_uniform
 
 
 def sparse_cfg(seed=0, k=20, noise=0.0, n=100, N=200):
@@ -72,6 +75,16 @@ class TestSampling:
         inst = sample_instance(sparse_cfg(n=400, N=800))
         # entries are N(0, 1/n): empirical variance close to 1/400
         assert np.var(inst.A) == pytest.approx(1.0 / 400, rel=0.02)
+
+    @pytest.mark.parametrize("shape", [(7, 13), (100, 200), (250, 500)])
+    def test_matrix_cache_line_aligned(self, shape):
+        # the matrix sits on a 64-byte boundary wherever the heap would put
+        # it, and holds the values standard_normal draws, bit for bit
+        cfg = InstanceConfig(*shape, SparseSpec(k=3), seed=11)
+        A = sample_instance(cfg).A
+        assert A.ctypes.data % 64 == 0 and A.flags.c_contiguous and A.shape == shape
+        expected = standard_normal(substreams(11, 3)[0], shape) / np.sqrt(shape[0])
+        assert A.tobytes() == expected.tobytes()
 
     def test_column_norm_concentration(self):
         n, N = 200, 300
@@ -162,3 +175,20 @@ class TestSeedHashing:
         assert len(seeds) == 64
         assert trial_seed(7, 1, 2, 3) == trial_seed(7, 1, 2, 3)
         assert trial_seed(7, 1, 2, 3) != trial_seed(8, 1, 2, 3)
+
+
+def open_uniform_from_integers(gen, size):
+    # the reference formula: (k + 0.5) / 2^53 from 53-bit integers
+    return (gen.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) * 2.0**-53
+
+
+class TestOpenUniform:
+    @pytest.mark.parametrize("size", [1, 7, (250, 500)])
+    def test_matches_integer_formula(self, size):
+        # same values, bit for bit, and the generator left in the same state
+        for seed in range(20):
+            fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            u = open_uniform(fast, size)
+            assert np.array_equal(u, open_uniform_from_integers(reference, size))
+            assert fast.bit_generator.state == reference.bit_generator.state
+            assert 0.0 < u.min() and u.max() < 1.0

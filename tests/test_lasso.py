@@ -137,7 +137,10 @@ class TestLassoSolve:
         assert result.objective == pytest.approx(direct, rel=1e-14)
 
     def test_coordinate_descent_agreement(self):
-        # two independent solvers must land on the same objective value
+        # two independent solvers must land on the same objective value, also
+        # from a step 1/(factor L) too long for the matrix: the curvature test
+        # must back it off (7 of the 40 underestimated solves used to stall
+        # near KKT 1e-7 and run to the cap)
         gen = np.random.default_rng(17)
         for case in range(10):
             n = int(gen.integers(30, 80))
@@ -145,12 +148,14 @@ class TestLassoSolve:
             k = int(gen.integers(1, max(2, n // 4)))
             inst = make_instance(seed=100 + case, n=n, N=N, k=k, noise=0.2)
             lam = float(gen.uniform(0.05, 0.5))
-            fista = lasso_solve(inst, lam, tol=1e-10, max_iter=50000)
-            assert fista.converged
             cd_x = coordinate_descent_lasso(inst.A, inst.y, lam)
             r = inst.y - inst.A @ cd_x
             cd_obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(cd_x)))
-            assert fista.objective == pytest.approx(cd_obj, abs=1e-8)
+            lipschitz = power_iteration_sq_norm(inst.A)
+            for factor in (1.0, 0.45, 0.3, 0.1, 0.01):
+                fista = lasso_solve(inst, lam, tol=1e-10, max_iter=50000, lipschitz=factor * lipschitz)
+                assert fista.converged, (case, factor)
+                assert fista.objective == pytest.approx(cd_obj, abs=1e-8)
 
     def test_nonconvergence_reported_via_flag(self):
         inst = make_instance(seed=5, n=100, N=300, k=30)
@@ -207,14 +212,26 @@ class TestLassoSolve:
 
     @pytest.mark.parametrize("factor", [0.3, 0.01])
     def test_underestimated_lipschitz_backs_off(self, factor):
-        # too long a step raises the objective; halving it must still reach
-        # the optimum of the solve with the true constant
+        # too long a step fails the curvature test; halving it must still
+        # reach the optimum of the solve with the true constant
         inst = make_instance(seed=11)
         lipschitz = power_iteration_sq_norm(inst.A)
         exact = lasso_solve(inst, 0.1, tol=1e-10, max_iter=20000, lipschitz=lipschitz)
         backed_off = lasso_solve(inst, 0.1, tol=1e-10, max_iter=20000, lipschitz=factor * lipschitz)
         assert exact.converged and backed_off.converged
         assert backed_off.objective == pytest.approx(exact.objective, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 3, 6, 11])
+    def test_step_grows_past_a_short_start(self, seed):
+        # from 1/(100 L) the step regains 1/L in ln(100)/ln(1.05) = 95
+        # accepted steps; a step that never grew took 2110-3100 iterations
+        # here, against 130-170 at 1/L
+        inst = make_instance(seed=seed)
+        lipschitz = power_iteration_sq_norm(inst.A)
+        at_l = lasso_solve(inst, 0.1, lipschitz=lipschitz)
+        short = lasso_solve(inst, 0.1, lipschitz=100.0 * lipschitz)
+        assert at_l.converged and short.converged
+        assert short.iterations <= at_l.iterations + 100
 
     @pytest.mark.parametrize("factor", [1.0, 0.3])
     def test_two_matrix_products_per_step(self, factor):
