@@ -25,7 +25,7 @@ from .rng import trial_seed
 from .state_evolution import SEModel, beta_of_lambda
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
-_SWEEP_MAX_ITER = 20000  # FISTA cap; the README sweep's lambda 0.0025 takes 9630
+_SWEEP_MAX_ITER = 20000  # FISTA cap; the README sweep's lambda 0.0025 takes 10400
 
 
 def _curve_point(z: float) -> tuple[float, float]:

@@ -1,25 +1,30 @@
 """Reference LASSO solver and optimality certificate.
 
 Solves min_x 0.5 ||y - A x||_2^2 + lam ||x||_1 by accelerated proximal
-gradient with an adaptive step and restart-on-increase, which keeps the
-objective monotone up to rounding.  The step starts at 1/L (L the squared
-top singular value, by the Lanczos method on A^T A) and follows the
-curvature the iterates see, which is often well below L: each step from v
-to x_new is tested against the quadratic upper bound of the smooth part,
-in the cancellation-free form step * ||A (x_new - v)||^2 <= ||x_new - v||^2
+gradient with an adaptive step and restart, which keeps the objective
+monotone up to rounding.  The step starts at 1/L (L the squared top
+singular value, by the Lanczos method on A^T A) and follows the curvature
+the iterates see, which is often well below L: each step from v to x_new
+is tested against the quadratic upper bound of the smooth part, in the
+cancellation-free form step * ||A (x_new - v)||^2 <= ||x_new - v||^2
 (Beck and Teboulle 2009).  A step that fails it is rejected and the step
-halved; one that passes and lowers the objective is accepted and the step
-grows by _STEP_GROWTH (Scheinberg, Goldfarb and Bai 2014); one that passes
-but raises the objective drops the momentum.  An accepted step costs two
-matrix products (A x and A^T r at the new iterate), a rejected step or a
-restart only A x: the residual and the gradient at the momentum point
-v = x + m (x - x_prev) are linear in v, so they are carried as
-r + m (r - r_prev) and g + m (g - g_prev) instead of being recomputed.
-The KKT residual certifies the answer: with g = A^T (y - A x), optimality
-means g_i = lam * sign(x_i) on the support and |g_i| <= lam off it; the
-solver checks it every _KKT_EVERY steps on the gradient it carries.
+halved; one that passes but raises the objective drops the momentum and
+retakes a plain step from x; any other is accepted and the step grows by
+_STEP_GROWTH (Scheinberg, Goldfarb and Bai 2014).  An accepted step also
+drops the momentum when the step from v turned against the last move,
+(v - x_new) . (x_new - x) > 0 (gradient restart, O'Donoghue and Candes
+2015).  Each step makes one pass over A: _residual_and_gradient walks A in
+row blocks that stay in cache between A_b x and A_b^T r_b, and gives the
+residual A x_new - y and the gradient A^T (A x_new - y) together; a
+rejected step throws the gradient away.  The residual and the gradient at
+the momentum point v = x + m (x - x_prev) are linear in v, so they are
+carried as r + m (r - r_prev) and g + m (g - g_prev) instead of being
+recomputed.  The KKT residual certifies the answer: with
+g = A^T (y - A x), optimality means g_i = lam * sign(x_i) on the support
+and |g_i| <= lam off it; the solver checks it every _KKT_EVERY steps on
+the gradient it carries, which is the certificate's own gradient bit for
+bit.
 """
-
 from __future__ import annotations
 
 import math
@@ -32,8 +37,12 @@ from .instances import ProblemInstance
 
 _POWER_RTOL = 1e-10
 _LANCZOS_MAX_ITER = 300
+_LANCZOS_CHECK_EVERY = 4
 _KKT_EVERY = 10
 _STEP_GROWTH = 1.05
+# bytes of A per row block of _residual_and_gradient: small enough that a
+# block read by A_b x is still in L2 when A_b^T r_b reads it again
+_BLOCK_BYTES = 768 * 1024
 
 
 @dataclass(frozen=True)
@@ -49,11 +58,12 @@ def power_iteration_sq_norm(A: np.ndarray) -> float:
     """Largest squared singular value of A, by the Lanczos method on A^T A.
 
     The plain three-term recurrence from q = ones/sqrt(N), with no stored
-    basis: each step makes the two products A^T (A q), and the estimate is
-    the top eigenvalue theta of the tridiagonal matrix T the recurrence
+    basis: each step makes A^T (A q) in one pass over A, and the estimate
+    is the top eigenvalue theta of the tridiagonal matrix T the recurrence
     builds.  It stops when the residual bound beta * |s_k| (s_k the last
-    entry of theta's eigenvector of T) is at most _POWER_RTOL * theta, or
-    after _LANCZOS_MAX_ITER steps.  Ritz values interlace, so theta
+    entry of theta's eigenvector of T) is at most _POWER_RTOL * theta,
+    tested every _LANCZOS_CHECK_EVERY steps and whenever beta breaks down,
+    or after _LANCZOS_MAX_ITER steps.  Ritz values interlace, so theta
     approaches the true value from below.  An all-zero A gives 0.0; a start
     vector in the null space of A restarts once from the largest-norm row.
     Raises RangeError when the estimate is not finite (NaN or inf in A).
@@ -71,26 +81,48 @@ def power_iteration_sq_norm(A: np.ndarray) -> float:
 
 def _lanczos_top_eigenvalue(A: np.ndarray, q: np.ndarray) -> float:
     # Lanczos on A^T A from the unit vector q; see power_iteration_sq_norm
+    zero = np.zeros(A.shape[0])
     q_prev = np.zeros_like(q)
     alphas: list[float] = []
     betas: list[float] = []
-    beta = 0.0
-    for _ in range(_LANCZOS_MAX_ITER):
-        w = A.T @ (A @ q)
+    beta = theta = 0.0
+    for k in range(1, _LANCZOS_MAX_ITER + 1):
+        w = _residual_and_gradient(A, q, zero)[1]
         alpha = float(q @ w)
         w -= alpha * q + beta * q_prev
         beta = float(np.linalg.norm(w))
         alphas.append(alpha)
-        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        eigenvalues, eigenvectors = np.linalg.eigh(T)
-        theta = float(eigenvalues[-1])
-        if not math.isfinite(theta):
-            raise RangeError(f"top singular value estimate is not finite ({theta}): A holds NaN or inf")
-        if beta * abs(eigenvectors[-1, -1]) <= _POWER_RTOL * theta:
-            return theta
+        # theta, the last top Ritz value or any diagonal entry of T, bounds
+        # the current one from below, so a beta this small (or 0, or NaN)
+        # passes the test below: q = w / beta never divides by a breakdown
+        theta = max(theta, alpha)
+        if k % _LANCZOS_CHECK_EVERY == 0 or k == _LANCZOS_MAX_ITER or not beta > _POWER_RTOL * theta:
+            T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            eigenvalues, eigenvectors = np.linalg.eigh(T)
+            theta = float(eigenvalues[-1])
+            if not math.isfinite(theta):
+                raise RangeError(f"top singular value estimate is not finite ({theta}): A holds NaN or inf")
+            if beta * abs(eigenvectors[-1, -1]) <= _POWER_RTOL * theta:
+                return theta
         betas.append(beta)
         q_prev, q = q, w / beta
     return theta
+
+
+def _residual_and_gradient(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # r = A x - y and g = A^T r in one pass over A: each block of rows is
+    # read by A_b x and again, still in cache, by A_b^T r_b; the blocks'
+    # shares of g are summed at the end
+    n, N = A.shape
+    rows = max(1, _BLOCK_BYTES // (8 * max(N, 1)))
+    r = np.empty(n)
+    shares = np.empty((-(-n // rows), N))
+    for b, start in enumerate(range(0, n, rows)):
+        A_b, r_b = A[start : start + rows], r[start : start + rows]
+        np.matmul(A_b, x, out=r_b)
+        r_b -= y[start : start + rows]
+        np.matmul(A_b.T, r_b, out=shares[b])
+    return r, shares.sum(axis=0)
 
 
 def _objective(r: np.ndarray, x: np.ndarray, lam: float) -> float:
@@ -116,7 +148,9 @@ def kkt_residual(instance: ProblemInstance, lam: float, x_hat: np.ndarray) -> fl
     """
     if not 0.0 <= lam < math.inf:
         raise RangeError(f"lambda must be finite and >= 0 for the KKT certificate, got {lam}")
-    return _kkt_violation(instance.A.T @ (instance.y - instance.A @ x_hat), x_hat, lam)
+    # -g is A^T (y - A x) bit for bit (negation is exact), from the same
+    # kernel as the solver's gradient, so the two certificates agree exactly
+    return _kkt_violation(-_residual_and_gradient(instance.A, x_hat, instance.y)[1], x_hat, lam)
 
 
 def lasso_solve(
@@ -148,8 +182,7 @@ def lasso_solve(
         raise RangeError(f"lipschitz must be finite and > 0, got {lipschitz}")
     A, y = instance.A, instance.y
     x = np.zeros(A.shape[1])
-    r = A @ x - y
-    g = A.T @ r  # gradient of the smooth part at x
+    r, g = _residual_and_gradient(A, x, y)  # g: gradient of the smooth part at x
     obj = _objective(r, x, lam)
     # NaN or inf in A or y reaches the objective or the gradient at x = 0;
     # caught here, it cannot run the loop to its cap on NaN iterates
@@ -171,7 +204,7 @@ def lasso_solve(
         iterations = k
         x_new = v - step * grad_v
         x_new = np.sign(x_new) * np.maximum(np.abs(x_new) - step * lam, 0.0)
-        r_new = A @ x_new - y
+        r_new, g_new = _residual_and_gradient(A, x_new, y)
         obj_new = _objective(r_new, x_new, lam)
         d_r, d_x = r_new - r_v, x_new - v
 
@@ -185,12 +218,18 @@ def lasso_solve(
             v, grad_v, r_v = x, g, r
             t_momentum = 1.0
         else:
-            g_new = A.T @ r_new
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-            m = (t_momentum - 1.0) / t_next
-            v = x_new + m * (x_new - x)
-            grad_v = g_new + m * (g_new - g)
-            r_v = r_new + m * (r_new - r)
+            d_step = x_new - x
+            if t_momentum > 1.0 and float(d_x @ d_step) < 0.0:
+                # gradient restart: (v - x_new) . (x_new - x) > 0, the step
+                # from v turned against the last move; keep x_new, drop momentum
+                v, grad_v, r_v = x_new, g_new, r_new
+                t_next = 1.0
+            else:
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
+                m = (t_momentum - 1.0) / t_next
+                v = x_new + m * d_step
+                grad_v = g_new + m * (g_new - g)
+                r_v = r_new + m * (r_new - r)
             x, g, r, obj, t_momentum = x_new, g_new, r_new, obj_new, t_next
             step *= _STEP_GROWTH
 

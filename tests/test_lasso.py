@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from amppath import (
     sample_instance,
     soft_threshold,
 )
+from amppath.lasso import _BLOCK_BYTES, _residual_and_gradient
 
 from _oracles import coordinate_descent_lasso
 
@@ -26,22 +30,30 @@ def scalar_instance(a, y0):
 
 
 class CountingMatrix(np.ndarray):
-    """A matrix that counts the np.matmul calls it takes part in, through
-    its views too (``A.T``); results come back as plain arrays."""
+    """A matrix that counts the matrix products it takes part in, through
+    its views too (``A.T``, row blocks); results come back as plain arrays.
+    The unit is one full product: an np.matmul on a block of b of A's n
+    rows adds b/n, exactly, so a product taken block by block counts one."""
 
     def __array_finalize__(self, obj):
         self.counter = getattr(obj, "counter", None)
+        self.full_size = getattr(obj, "full_size", None)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
-            self.counter[0] += 1
+            self.counter[0] += Fraction(self.size, self.full_size)
         inputs = tuple(np.asarray(a) if isinstance(a, CountingMatrix) else a for a in inputs)
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
+def counting_matrix(A):
+    A = A.view(CountingMatrix)
+    A.counter, A.full_size = [0], A.size
+    return A
+
+
 def counting_instance(inst):
-    A = inst.A.view(CountingMatrix)
-    A.counter = [0]
+    A = counting_matrix(inst.A)
     return ProblemInstance(A=A, x_o=inst.x_o, w=inst.w, y=inst.y, config=inst.config), A.counter
 
 
@@ -79,10 +91,9 @@ class TestPowerIteration:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matrix_products_per_call(self, seed):
-        # Lanczos makes 108-134 products here, power iteration 396-1512
+        # Lanczos makes 112-136 products here, power iteration 396-1512
         A = np.random.default_rng(seed).standard_normal((500, 1000)) / np.sqrt(500)
-        counted = A.view(CountingMatrix)
-        counted.counter = [0]
+        counted = counting_matrix(A)
         assert power_iteration_sq_norm(counted) == pytest.approx(
             np.linalg.svd(A, compute_uv=False)[0] ** 2, rel=1e-12
         )
@@ -156,6 +167,21 @@ class TestLassoSolve:
                 fista = lasso_solve(inst, lam, tol=1e-10, max_iter=50000, lipschitz=factor * lipschitz)
                 assert fista.converged, (case, factor)
                 assert fista.objective == pytest.approx(cd_obj, abs=1e-8)
+
+    def test_gradient_restart_ends_long_momentum(self):
+        # agreement case 1 at 1.0 L: without the gradient restart KKT sat
+        # between 1e-9 and 1e-7 from iteration 500 to 3300 while the momentum
+        # climbed, and the solve took 3970 iterations; with it, about 300
+        gen = np.random.default_rng(17)
+        for case in range(2):  # the draws of test_coordinate_descent_agreement
+            n = int(gen.integers(30, 80))
+            N = int(gen.integers(n, 200))
+            k = int(gen.integers(1, max(2, n // 4)))
+            lam = float(gen.uniform(0.05, 0.5))
+        inst = make_instance(seed=100 + case, n=n, N=N, k=k, noise=0.2)
+        result = lasso_solve(inst, lam, tol=1e-10, max_iter=50000, lipschitz=power_iteration_sq_norm(inst.A))
+        assert result.converged
+        assert result.iterations <= 1000
 
     def test_nonconvergence_reported_via_flag(self):
         inst = make_instance(seed=5, n=100, N=300, k=30)
@@ -272,6 +298,42 @@ class TestLassoSolve:
         increases = [b - a for a, b in zip(supports, supports[1:]) if b > a]
         assert supports[0] > supports[-1]
         assert all(inc <= 0.005 * 600 for inc in increases)
+
+
+class TestResidualAndGradient:
+    N = 2000
+    ROWS = _BLOCK_BYTES // (8 * N)  # rows per block at this width
+
+    @pytest.mark.parametrize(
+        "n, order, zero_y",
+        [(2 * ROWS, "C", False), (2 * ROWS + 7, "C", False), (ROWS // 2, "C", False), (1, "C", False),
+         (2 * ROWS + 7, "F", False), (2 * ROWS + 7, "C", True)],
+        ids=["multiple-of-block", "ragged", "below-one-block", "one-row", "fortran", "zero-y"],
+    )
+    def test_matches_plain_products(self, n, order, zero_y):
+        gen = np.random.default_rng(n)
+        A = np.asarray(gen.standard_normal((n, self.N)), order=order)
+        x = gen.standard_normal(self.N)
+        y = np.zeros(n) if zero_y else gen.standard_normal(n)
+        r, g = _residual_and_gradient(A, x, y)
+        r_plain = A @ x - y
+        g_plain = A.T @ r_plain
+        assert np.linalg.norm(r - r_plain) <= 1e-13 * np.linalg.norm(r_plain)
+        assert np.linalg.norm(g - g_plain) <= 1e-13 * np.linalg.norm(g_plain)
+
+    def test_makes_no_copy_of_the_matrix(self):
+        # the blocks' shares of g are the only buffer: about 0.3 MiB at
+        # 1000 x 2000, against 16 MB for A
+        gen = np.random.default_rng(0)
+        A = gen.standard_normal((1000, self.N))
+        x, y = gen.standard_normal(self.N), gen.standard_normal(1000)
+        tracemalloc.start()
+        try:
+            _residual_and_gradient(A, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes / 8
 
 
 class TestKktResidual:
