@@ -18,14 +18,14 @@ from ._brent import brentq
 from .amp import amp_run
 from .exceptions import Divergence, RangeError
 from .instances import InstanceConfig, SparseSpec, compute_observables, sample_instance
-from .lasso import kkt_residual, lasso_solve, power_iteration_sq_norm
+from .lasso import kkt_residual, lasso_solve
 from .policies import FixedDetection
 from .priors import Prior, sparse_prior, std_normal_cdf, std_normal_pdf
 from .rng import trial_seed
 from .state_evolution import SEModel, beta_of_lambda
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
-_SWEEP_MAX_ITER = 20000  # FISTA cap; the README sweep's lambda 0.0025 takes 10400
+_SWEEP_MAX_ITER = 20000  # FISTA cap; the README sweep's lambda 0.0025 takes 10230
 
 
 def _curve_point(z: float) -> tuple[float, float]:
@@ -204,15 +204,12 @@ def lambda_sweep_empirical(cfg: SweepConfig) -> list[dict]:
     """
     instance = sample_instance(cfg.instance)
     model = model_for_instance(cfg.instance)
-    lipschitz = power_iteration_sq_norm(instance.A) if cfg.solver == "fista" else None
     rows = []
     for lam in cfg.lambda_grid:
         lam = float(lam)
         point = beta_of_lambda(model, lam)
         if cfg.solver == "fista":
-            result = lasso_solve(
-                instance, lam, tol=cfg.solver_tol, max_iter=_SWEEP_MAX_ITER, lipschitz=lipschitz
-            )
+            result = lasso_solve(instance, lam, tol=cfg.solver_tol, max_iter=_SWEEP_MAX_ITER)
             x_hat = result.x_hat
             converged = result.converged
             zero_tol = 1e-8 * float(np.max(np.abs(x_hat))) if np.any(x_hat != 0.0) else 0.0

@@ -1,29 +1,27 @@
 """Reference LASSO solver and optimality certificate.
 
 Solves min_x 0.5 ||y - A x||_2^2 + lam ||x||_1 by accelerated proximal
-gradient with an adaptive step and restart, which keeps the objective
-monotone up to rounding.  The step starts at 1/L (L the squared top
-singular value, by the Lanczos method on A^T A) and follows the curvature
-the iterates see, which is often well below L: each step from v to x_new
-is tested against the quadratic upper bound of the smooth part, in the
-cancellation-free form step * ||A (x_new - v)||^2 <= ||x_new - v||^2
-(Beck and Teboulle 2009).  A step that fails it is rejected and the step
-halved; one that passes but raises the objective drops the momentum and
-retakes a plain step from x; any other is accepted and the step grows by
-_STEP_GROWTH (Scheinberg, Goldfarb and Bai 2014).  An accepted step also
-drops the momentum when the step from v turned against the last move,
-(v - x_new) . (x_new - x) > 0 (gradient restart, O'Donoghue and Candes
-2015).  Each step makes one pass over A: _residual_and_gradient walks A in
-row blocks that stay in cache between A_b x and A_b^T r_b, and gives the
-residual A x_new - y and the gradient A^T (A x_new - y) together; a
-rejected step throws the gradient away.  The residual and the gradient at
-the momentum point v = x + m (x - x_prev) are linear in v, so they are
-carried as r + m (r - r_prev) and g + m (g - g_prev) instead of being
-recomputed.  The KKT residual certifies the answer: with
+gradient with an adaptive step and one restart rule.  The first step is
+1/rho, rho = ||A g0||^2 / ||g0||^2 the Rayleigh quotient of A^T A along
+the first gradient g0: one product, and rho <= L, the squared top
+singular value, so it is never shorter than 1/L.  Each step from v to
+x_new is then tested against the quadratic upper bound of the smooth
+part, in the cancellation-free form
+step * ||A (x_new - v)||^2 <= ||x_new - v||^2 (Beck and Teboulle 2009).
+A step that fails it is rejected and the step halved; one that passes is
+accepted and the step grows by _STEP_GROWTH (Scheinberg, Goldfarb and Bai
+2014).  An accepted step drops the momentum when the step from v turned
+against the last move, (v - x_new) . (x_new - x) > 0 (gradient restart,
+O'Donoghue and Candes 2015).  Each step makes one pass over A:
+_residual_and_gradient walks A in row blocks that stay in cache between
+A_b x and A_b^T r_b, and gives r = A x_new - y and the gradient A^T r
+together.  Both are linear in x, so at the momentum point
+v = x + m (x - x_prev) they are carried as r + m (r - r_prev), and so on,
+instead of being recomputed.  The KKT residual certifies the answer: with
 g = A^T (y - A x), optimality means g_i = lam * sign(x_i) on the support
-and |g_i| <= lam off it; the solver checks it every _KKT_EVERY steps on
-the gradient it carries, which is the certificate's own gradient bit for
-bit.
+and |g_i| <= lam off it.  The solver checks it at x = 0 before the first
+step and then every _KKT_EVERY steps, on the gradient it carries, which
+is the certificate's own bit for bit.
 """
 from __future__ import annotations
 
@@ -67,7 +65,8 @@ def power_iteration_sq_norm(A: np.ndarray) -> float:
     approaches the true value from below.  An all-zero A gives 0.0; a start
     vector in the null space of A restarts once from the largest-norm row.
     Raises RangeError when the estimate is not finite (NaN or inf in A).
-    The name predates the method and is kept as public API.
+    The name predates the method and is kept as public API; lasso_solve no
+    longer calls it, and takes its first step from a Rayleigh quotient.
     """
     theta = _lanczos_top_eigenvalue(A, np.ones(A.shape[1]) / math.sqrt(A.shape[1]))
     if theta == 0.0:
@@ -163,14 +162,14 @@ def lasso_solve(
     """Accelerated proximal gradient for the LASSO at one lambda.
 
     Terminates when the KKT residual of ``kkt_residual`` drops to tol
-    (checked every _KKT_EVERY iterations and on the last) or at max_iter;
+    (checked at x = 0, where it can end the solve after 0 iterations, then
+    every _KKT_EVERY iterations and on the last) or at max_iter;
     non-convergence is reported via the flag, never an exception.  NaN or
-    inf in A or y raises RangeError before the first step.  Pass a
-    precomputed ``lipschitz`` (squared top singular value) to amortize it
-    across many lambdas; it sets only the first step, 1/lipschitz, so an
-    estimate off in either direction costs iterations, not accuracy.  For
-    lam = 0 the minimizer may be non-unique in the undersampled regime; the
-    residual is then the gradient sup-norm.
+    inf in A or y raises RangeError before the first step.  ``lipschitz``
+    overrides the first step, 1/rho, with 1/lipschitz; an estimate off in
+    either direction costs iterations, not accuracy.  For lam = 0 the
+    minimizer may be non-unique in the undersampled regime; the residual
+    is then the gradient sup-norm.
     """
     if not 0.0 <= lam < math.inf:
         raise RangeError(f"lambda must be finite and >= 0, got {lam}")
@@ -183,29 +182,33 @@ def lasso_solve(
     A, y = instance.A, instance.y
     x = np.zeros(A.shape[1])
     r, g = _residual_and_gradient(A, x, y)  # g: gradient of the smooth part at x
-    obj = _objective(r, x, lam)
-    # NaN or inf in A or y reaches the objective or the gradient at x = 0;
-    # caught here, it cannot run the loop to its cap on NaN iterates
-    if not (math.isfinite(obj) and np.isfinite(g).all()):
-        raise RangeError("objective or gradient at x = 0 is not finite: A or y holds NaN or inf")
-    L = power_iteration_sq_norm(A) if lipschitz is None else float(lipschitz)
-    if L <= 0.0:
-        return LassoResult(x, obj, 0.0, 0, True)
-    step = 1.0 / L
+    # NaN or inf in A or y reaches the gradient at x = 0; caught here, it
+    # cannot run the loop to its cap on NaN iterates
+    if not np.isfinite(g).all():
+        raise RangeError("gradient at x = 0 is not finite: A or y holds NaN or inf")
+    # -g is A^T (y - A x) bit for bit: negation is exact
+    residual = _kkt_violation(-g, x, lam)
+    if residual <= tol:
+        return LassoResult(x, _objective(r, x, lam), residual, 0, True)
+    if lipschitz is None:
+        # the curvature along g, scaled so that a tiny g cannot underflow:
+        # g != 0 lies in range(A^T), so A g != 0 and the quotient is > 0
+        u = g / np.max(np.abs(g))
+        a_u = A @ u
+        step = float(u @ u) / float(a_u @ a_u)
+    else:
+        step = 1.0 / lipschitz
 
     v, grad_v, r_v = x, g, r
     t_momentum = 1.0
-    residual = math.inf
     iterations = 0
     converged = False
-    rounding = 8.0 * float(np.finfo(float).eps)  # relative noise of obj, never a rise
 
     for k in range(1, max_iter + 1):
         iterations = k
         x_new = v - step * grad_v
         x_new = np.sign(x_new) * np.maximum(np.abs(x_new) - step * lam, 0.0)
         r_new, g_new = _residual_and_gradient(A, x_new, y)
-        obj_new = _objective(r_new, x_new, lam)
         d_r, d_x = r_new - r_v, x_new - v
 
         if step * float(d_r @ d_r) > float(d_x @ d_x):
@@ -213,10 +216,6 @@ def lasso_solve(
             # quadratic model no longer bounds the objective, so halve and
             # retry from v
             step *= 0.5
-        elif obj_new > obj + rounding * abs(obj):
-            # restart: drop momentum, retake a plain descent step from x
-            v, grad_v, r_v = x, g, r
-            t_momentum = 1.0
         else:
             d_step = x_new - x
             if t_momentum > 1.0 and float(d_x @ d_step) < 0.0:
@@ -230,11 +229,10 @@ def lasso_solve(
                 v = x_new + m * d_step
                 grad_v = g_new + m * (g_new - g)
                 r_v = r_new + m * (r_new - r)
-            x, g, r, obj, t_momentum = x_new, g_new, r_new, obj_new, t_next
+            x, g, r, t_momentum = x_new, g_new, r_new, t_next
             step *= _STEP_GROWTH
 
         if k % _KKT_EVERY == 0 or k == max_iter:
-            # -g is A^T (y - A x) bit for bit: negation is exact
             residual = _kkt_violation(-g, x, lam)
             if residual <= tol:
                 converged = True
@@ -242,7 +240,7 @@ def lasso_solve(
 
     return LassoResult(
         x_hat=x,
-        objective=obj,
+        objective=_objective(r, x, lam),
         kkt_residual=residual,
         iterations=iterations,
         converged=converged,

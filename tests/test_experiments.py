@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import amppath.experiments
+import amppath.lasso
 from amppath import (
     DimensionError,
     FixedDetection,
@@ -226,16 +227,17 @@ class TestLambdaSweep:
             assert abs(r["empirical_dr"] - r["se_dr"]) < 0.05
             assert abs(r["empirical_mse"] - r["se_mse"]) / r["se_mse"] < 0.25
 
-    def test_amp_sweep_runs_no_power_iteration(self, monkeypatch):
-        # only FISTA reads the step size
-        def no_power_iteration(A):
-            raise AssertionError("power iteration in an AMP sweep")
+    @pytest.mark.parametrize("solver", ["fista", "amp"])
+    def test_sweep_runs_no_lanczos(self, monkeypatch, solver):
+        # FISTA takes its first step from a Rayleigh quotient, AMP needs none
+        def no_lanczos(A, q):
+            raise AssertionError(f"Lanczos in a {solver} sweep")
 
-        monkeypatch.setattr(amppath.experiments, "power_iteration_sq_norm", no_power_iteration)
+        monkeypatch.setattr(amppath.lasso, "_lanczos_top_eigenvalue", no_lanczos)
         cfg = SweepConfig(
             instance=InstanceConfig(100, 200, SparseSpec(k=10), noise_variance=0.2, seed=0),
             lambda_grid=(1.0,),
-            solver="amp",
+            solver=solver,
         )
         assert len(lambda_sweep_empirical(cfg)) == 1
 

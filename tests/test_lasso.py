@@ -125,6 +125,9 @@ class TestLassoSolve:
         result = lasso_solve(inst, 1.01 * lam_max)
         assert np.all(result.x_hat == 0.0)
         assert result.converged
+        # the certificate at x = 0 ends the solve before the first step
+        assert result.iterations == 0
+        assert result.kkt_residual == 0.0
 
     def test_scalar_closed_form(self):
         # minimizer of 0.5 (y - a x)^2 + lam |x| is eta(y/a; lam/a^2)
@@ -151,7 +154,8 @@ class TestLassoSolve:
         # two independent solvers must land on the same objective value, also
         # from a step 1/(factor L) too long for the matrix: the curvature test
         # must back it off (7 of the 40 underestimated solves used to stall
-        # near KKT 1e-7 and run to the cap)
+        # near KKT 1e-7 and run to the cap); None starts from the solver's
+        # own Rayleigh quotient
         gen = np.random.default_rng(17)
         for case in range(10):
             n = int(gen.integers(30, 80))
@@ -163,8 +167,9 @@ class TestLassoSolve:
             r = inst.y - inst.A @ cd_x
             cd_obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(cd_x)))
             lipschitz = power_iteration_sq_norm(inst.A)
-            for factor in (1.0, 0.45, 0.3, 0.1, 0.01):
-                fista = lasso_solve(inst, lam, tol=1e-10, max_iter=50000, lipschitz=factor * lipschitz)
+            for factor in (1.0, 0.45, 0.3, 0.1, 0.01, None):
+                start = None if factor is None else factor * lipschitz
+                fista = lasso_solve(inst, lam, tol=1e-10, max_iter=50000, lipschitz=start)
                 assert fista.converged, (case, factor)
                 assert fista.objective == pytest.approx(cd_obj, abs=1e-8)
 
@@ -259,18 +264,20 @@ class TestLassoSolve:
         assert at_l.converged and short.converged
         assert short.iterations <= at_l.iterations + 100
 
-    @pytest.mark.parametrize("factor", [1.0, 0.3])
+    @pytest.mark.parametrize("factor", [1.0, 0.3, None])
     def test_two_matrix_products_per_step(self, factor):
         # A x and A^T r at each accepted iterate, A x alone on a rejected
-        # step, two to start; the KKT check reuses the carried gradient.
-        # 0.3 L makes the momentum steps overshoot, so some are rejected
+        # step, two to start, and with no lipschitz one more for A g0; the
+        # KKT check reuses the carried gradient.  0.3 L makes the momentum
+        # steps overshoot, so some are rejected
         inst = make_instance(seed=11)
-        lipschitz = factor * power_iteration_sq_norm(inst.A)
+        lipschitz = None if factor is None else factor * power_iteration_sq_norm(inst.A)
+        start = 3 if factor is None else 2
         counted, matmuls = counting_instance(inst)
         result = lasso_solve(counted, 0.1, tol=1e-10, max_iter=20000, lipschitz=lipschitz)
         assert result.converged
         # at least A x_new on every step: the counter sees the solver's products
-        assert result.iterations + 2 <= matmuls[0] <= 2 * result.iterations + 2
+        assert result.iterations + start <= matmuls[0] <= 2 * result.iterations + start
 
     @pytest.mark.parametrize(
         "lam, max_iter", [(0.15, 20000), (0.15, 3), (0.0, 20000)], ids=["20000", "3", "lambda-0"]
