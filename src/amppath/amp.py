@@ -146,12 +146,11 @@ def amp_run(
         np.matmul(At, z, out=u)
         np.add(x, u, out=u)
         tau = policy.amp_tau(u, z, n)
-        # x_new = sign(u) * max(|u| - tau, 0)
-        np.abs(u, out=mag)
-        np.subtract(mag, tau, out=mag)
-        np.maximum(mag, 0.0, out=mag)
-        np.sign(u, out=x_new)
-        np.multiply(x_new, mag, out=x_new)
+        # x_new = eta(u; tau) = u - clip(u, -tau, tau), the values of
+        # sign(u) * max(|u| - tau, 0); mag holds the clipped part (the
+        # method skips np.clip's dispatch, a microsecond at N = 500)
+        u.clip(-tau, tau, out=mag)
+        np.subtract(u, mag, out=x_new)
 
         new_norm = _norm(x_new)
         if not new_norm <= limit:

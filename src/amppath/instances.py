@@ -126,9 +126,9 @@ def sample_instance(cfg: InstanceConfig) -> ProblemInstance:
 def compute_observables(x_hat, x_o, zero_tol: float = 0.0) -> Observables:
     """Per-coordinate averages of estimate quality.
 
-    An entry counts as detected when |x_hat_i| > zero_tol; use zero for
-    thresholding outputs (exact zeros by construction) and about
-    1e-8 * max|x_hat| for iterative solvers that leave numerical dust.
+    An entry counts as detected when |x_hat_i| > zero_tol.  Zero suits
+    amp_run and lasso_solve, whose soft threshold leaves exact zeros; a
+    positive zero_tol is for estimates that carry numerical dust.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64)
     x_o = np.asarray(x_o, dtype=np.float64)

@@ -17,11 +17,13 @@ _residual_and_gradient walks A in row blocks that stay in cache between
 A_b x and A_b^T r_b, and gives r = A x_new - y and the gradient A^T r
 together.  Both are linear in x, so at the momentum point
 v = x + m (x - x_prev) they are carried as r + m (r - r_prev), and so on,
-instead of being recomputed.  The KKT residual certifies the answer: with
-g = A^T (y - A x), optimality means g_i = lam * sign(x_i) on the support
-and |g_i| <= lam off it.  The solver checks it at x = 0 before the first
-step and then every _KKT_EVERY steps, on the gradient it carries, which
-is the certificate's own bit for bit.
+instead of being recomputed.  A restart is the same extrapolation with
+m = 0.  The KKT residual certifies the answer: with g = A^T (y - A x),
+optimality means g_i = lam * sign(x_i) on the support and |g_i| <= lam
+off it.  The solver is one loop whose head checks it, on the gradient it
+carries, which is the certificate's own bit for bit: at x = 0 before the
+first step, every _KKT_EVERY steps and at max_iter.  That check alone
+ends the solve, and the steps taken before it are the iterations.
 """
 from __future__ import annotations
 
@@ -186,28 +188,27 @@ def lasso_solve(
     # cannot run the loop to its cap on NaN iterates
     if not np.isfinite(g).all():
         raise RangeError("gradient at x = 0 is not finite: A or y holds NaN or inf")
-    # -g is A^T (y - A x) bit for bit: negation is exact
-    residual = _kkt_violation(-g, x, lam)
-    if residual <= tol:
-        return LassoResult(x, _objective(r, x, lam), residual, 0, True)
-    if lipschitz is None:
-        # the curvature along g, scaled so that a tiny g cannot underflow:
-        # g != 0 lies in range(A^T), so A g != 0 and the quotient is > 0
-        u = g / np.max(np.abs(g))
-        a_u = A @ u
-        step = float(u @ u) / float(a_u @ a_u)
-    else:
-        step = 1.0 / lipschitz
-
+    step = None if lipschitz is None else 1.0 / lipschitz
     v, grad_v, r_v = x, g, r
     t_momentum = 1.0
-    iterations = 0
-    converged = False
 
-    for k in range(1, max_iter + 1):
-        iterations = k
+    for k in range(max_iter + 1):
+        if k % _KKT_EVERY == 0 or k == max_iter:
+            # -g is A^T (y - A x) bit for bit: negation is exact
+            residual = _kkt_violation(-g, x, lam)
+            if residual <= tol or k == max_iter:
+                break
+        if step is None:
+            # the first step, 1/rho from the curvature along g0, scaled so
+            # that a tiny g0 cannot underflow: g0 != 0 lies in range(A^T),
+            # so A g0 != 0 and the quotient is > 0
+            u = g / np.max(np.abs(g))
+            a_u = A @ u
+            step = float(u @ u) / float(a_u @ a_u)
+
         x_new = v - step * grad_v
-        x_new = np.sign(x_new) * np.maximum(np.abs(x_new) - step * lam, 0.0)
+        # soft threshold: u - clip(u, -t, t) is sign(u) * max(|u| - t, 0)
+        x_new -= x_new.clip(-step * lam, step * lam)
         r_new, g_new = _residual_and_gradient(A, x_new, y)
         d_r, d_x = r_new - r_v, x_new - v
 
@@ -218,30 +219,16 @@ def lasso_solve(
             step *= 0.5
         else:
             d_step = x_new - x
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
+            m = (t_momentum - 1.0) / t_next
             if t_momentum > 1.0 and float(d_x @ d_step) < 0.0:
                 # gradient restart: (v - x_new) . (x_new - x) > 0, the step
-                # from v turned against the last move; keep x_new, drop momentum
-                v, grad_v, r_v = x_new, g_new, r_new
-                t_next = 1.0
-            else:
-                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-                m = (t_momentum - 1.0) / t_next
-                v = x_new + m * d_step
-                grad_v = g_new + m * (g_new - g)
-                r_v = r_new + m * (r_new - r)
+                # from v turned against the last move; x_new + 0 d is x_new
+                t_next, m = 1.0, 0.0
+            v = x_new + m * d_step
+            grad_v = g_new + m * (g_new - g)
+            r_v = r_new + m * (r_new - r)
             x, g, r, t_momentum = x_new, g_new, r_new, t_next
             step *= _STEP_GROWTH
 
-        if k % _KKT_EVERY == 0 or k == max_iter:
-            residual = _kkt_violation(-g, x, lam)
-            if residual <= tol:
-                converged = True
-                break
-
-    return LassoResult(
-        x_hat=x,
-        objective=_objective(r, x, lam),
-        kkt_residual=residual,
-        iterations=iterations,
-        converged=converged,
-    )
+    return LassoResult(x, _objective(r, x, lam), residual, k, residual <= tol)

@@ -18,6 +18,7 @@ from amppath import (
     beta_of_lambda,
     estimate_half_success_rho,
     interpolate_display_grid,
+    kkt_residual,
     lambda_sweep_empirical,
     lasso_path,
     model_for_instance,
@@ -240,6 +241,37 @@ class TestLambdaSweep:
             solver=solver,
         )
         assert len(lambda_sweep_empirical(cfg)) == 1
+
+    @pytest.mark.parametrize("solver", ["fista", "amp"])
+    def test_row_invariants(self, monkeypatch, solver):
+        # each row's kkt_residual is the certificate of the solver's x_hat and
+        # empirical_dr its nonzero fraction, whichever solver produced it
+        estimates = []
+        solve, run = amppath.experiments.lasso_solve, amppath.experiments.amp_run
+
+        def recording_solve(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            estimates.append(result.x_hat.copy())
+            return result
+
+        def recording_run(*args, **kwargs):
+            state, trace = run(*args, **kwargs)
+            estimates.append(state.x.copy())
+            return state, trace
+
+        monkeypatch.setattr(amppath.experiments, "lasso_solve", recording_solve)
+        monkeypatch.setattr(amppath.experiments, "amp_run", recording_run)
+        cfg = SweepConfig(
+            instance=InstanceConfig(100, 200, SparseSpec(k=10), noise_variance=0.2, seed=3),
+            lambda_grid=(0.05, 0.3, 1.0, 2.5),
+            solver=solver,
+        )
+        rows = lambda_sweep_empirical(cfg)
+        inst = sample_instance(cfg.instance)
+        assert len(estimates) == len(rows)
+        for row, x_hat in zip(rows, estimates):
+            assert row["kkt_residual"] == kkt_residual(inst, row["lambda"], x_hat)
+            assert row["empirical_dr"] == np.count_nonzero(x_hat) / x_hat.size
 
     def test_amp_converging_on_last_allowed_iteration_counts(self):
         inst_cfg = InstanceConfig(100, 200, SparseSpec(k=10), noise_variance=0.2, seed=0)

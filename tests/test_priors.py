@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amppath import (
+    FixedThreshold,
     Prior,
+    ProblemInstance,
     PsiParams,
     RangeError,
+    amp_run,
     atom_risk,
     detection_prob,
+    lasso_solve,
     parse_prior,
     point_mass_at_zero,
     psi_map,
@@ -52,6 +58,24 @@ class TestSoftThreshold:
             a, b = gen.uniform(-10, 10, size=2)
             tau = gen.uniform(0, 5)
             assert abs(soft_threshold(a, tau) - soft_threshold(b, tau)) <= abs(a - b) + 1e-15
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        u=st.lists(st.floats(-1e150, 1e150), max_size=12),
+        t=st.one_of(st.just(0.0), st.floats(0.0, 1e150), st.just(1e150)),
+    )
+    def test_solvers_apply_it(self, u, t):
+        # amp_run's first iterate and lasso_solve's first step at unit step
+        # size are eta(y; t) when A is the identity; ties |u| == t and
+        # both zeros are always in the input
+        y = np.array(u + [t, -t, 0.0, -0.0])
+        eye = np.eye(y.size)
+        inst = ProblemInstance(A=eye, x_o=np.zeros(y.size), w=np.zeros(y.size), y=y, config=None)
+        expected = [soft_threshold(v, t) for v in y]
+        state, _ = amp_run(inst, FixedThreshold(t), max_iter=1, trace=False)
+        assert state.x.tolist() == expected
+        result = lasso_solve(inst, t, tol=0.0, max_iter=1, lipschitz=1.0)
+        assert result.x_hat.tolist() == expected
 
 
 class TestStdNormal:
