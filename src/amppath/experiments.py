@@ -25,8 +25,8 @@ from .rng import trial_seed
 from .state_evolution import SEModel, beta_of_lambda
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
-# FISTA cap; the README sweep's lambda 0.0025 takes 10230 at seed 0 and
-# stops here unconverged at seed 1
+# FISTA cap; the README sweep's lambda 0.0025 takes 7500 at seed 0 and
+# 15740 at seed 1
 _SWEEP_MAX_ITER = 20000
 
 

@@ -10,20 +10,22 @@ part, in the cancellation-free form
 step * ||A (x_new - v)||^2 <= ||x_new - v||^2 (Beck and Teboulle 2009).
 A step that fails it is rejected and the step halved; one that passes is
 accepted and the step grows by _STEP_GROWTH (Scheinberg, Goldfarb and Bai
-2014).  An accepted step drops the momentum when the step from v turned
-against the last move, (v - x_new) . (x_new - x) > 0 (gradient restart,
-O'Donoghue and Candes 2015).  Each step makes one pass over A:
-_residual_and_gradient walks A in row blocks that stay in cache between
-A_b x and A_b^T r_b, and gives r = A x_new - y and the gradient A^T r
-together.  Both are linear in x, so at the momentum point
-v = x + m (x - x_prev) they are carried as r + m (r - r_prev), and so on,
-instead of being recomputed.  A restart is the same extrapolation with
-m = 0.  The KKT residual certifies the answer: with g = A^T (y - A x),
-optimality means g_i = lam * sign(x_i) on the support and |g_i| <= lam
-off it.  The solver is one loop whose head checks it, on the gradient it
-carries, which is the certificate's own bit for bit: at x = 0 before the
-first step, every _KKT_EVERY steps and at max_iter.  That check alone
-ends the solve, and the steps taken before it are the iterations.
+2014).  An accepted step moves on to v = x_new + m (x_new - x) with the
+full momentum m = 1, not a Nesterov t-sequence: greedy FISTA (Liang, Luo
+and Schoenlieb, SIAM J. Sci. Comput. 2022).  m is 0 when the step from v
+turned against the last move, (v - x_new) . (x_new - x) > 0 (gradient
+restart, O'Donoghue and Candes 2015); that guard keeps full momentum in
+check, though the objective need not fall on every step.  Each step makes
+one pass over A: _residual_and_gradient walks A in row blocks that stay
+in cache between A_b x and A_b^T r_b, and gives r = A x_new - y and the
+gradient A^T r together.  Both are linear in x, so at v they are carried
+as r_new + m (r_new - r), and so on, instead of being recomputed.  The
+KKT residual certifies the answer: with g = A^T (y - A x), optimality
+means g_i = lam * sign(x_i) on the support and |g_i| <= lam off it.  The
+solver is one loop whose head checks it, on the gradient it carries,
+which is the certificate's own bit for bit: at x = 0 before the first
+step, every _KKT_EVERY steps and at max_iter.  That check alone ends the
+solve, and the steps taken before it are the iterations.
 """
 from __future__ import annotations
 
@@ -190,7 +192,6 @@ def lasso_solve(
         raise RangeError("gradient at x = 0 is not finite: A or y holds NaN or inf")
     step = None if lipschitz is None else 1.0 / lipschitz
     v, grad_v, r_v = x, g, r
-    t_momentum = 1.0
 
     for k in range(max_iter + 1):
         if k % _KKT_EVERY == 0 or k == max_iter:
@@ -219,16 +220,14 @@ def lasso_solve(
             step *= 0.5
         else:
             d_step = x_new - x
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-            m = (t_momentum - 1.0) / t_next
-            if t_momentum > 1.0 and float(d_x @ d_step) < 0.0:
-                # gradient restart: (v - x_new) . (x_new - x) > 0, the step
-                # from v turned against the last move; x_new + 0 d is x_new
-                t_next, m = 1.0, 0.0
+            # full momentum, unless the step from v turned against the last
+            # move, (v - x_new) . (x_new - x) > 0: then gradient restart,
+            # and x_new + 0 d is x_new
+            m = 0.0 if float(d_x @ d_step) < 0.0 else 1.0
             v = x_new + m * d_step
             grad_v = g_new + m * (g_new - g)
             r_v = r_new + m * (r_new - r)
-            x, g, r, t_momentum = x_new, g_new, r_new, t_next
+            x, g, r = x_new, g_new, r_new
             step *= _STEP_GROWTH
 
     return LassoResult(x, _objective(r, x, lam), residual, k, residual <= tol)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amppath import (
     InstanceConfig,
@@ -187,6 +189,33 @@ class TestLassoSolve:
         result = lasso_solve(inst, lam, tol=1e-10, max_iter=50000, lipschitz=power_iteration_sq_norm(inst.A))
         assert result.converged
         assert result.iterations <= 1000
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(4, 40),
+        N=st.integers(4, 40),
+        fraction=st.floats(0.02, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_coordinate_descent_agreement_on_random_shapes(self, n, N, fraction, seed):
+        # full momentum lets the objective rise between restarts, so the
+        # answer is checked against an independent minimizer on shapes the
+        # fixed draws above leave out (n >= N too), lambda a fraction of
+        # lambda_max = max|A^T y|, from the solver's own first step and 1/L
+        gen = np.random.default_rng(seed)
+        A = gen.standard_normal((n, N)) / np.sqrt(n)
+        x_o = np.zeros(N)
+        x_o[gen.choice(N, size=max(1, N // 8), replace=False)] = 1.0
+        w = 0.3 * gen.standard_normal(n)
+        inst = ProblemInstance(A=A, x_o=x_o, w=w, y=A @ x_o + w, config=None)
+        lam = fraction * float(np.max(np.abs(A.T @ inst.y)))
+        cd_x = coordinate_descent_lasso(A, inst.y, lam)
+        r = inst.y - A @ cd_x
+        cd_obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(cd_x)))
+        for lipschitz in (None, float(np.linalg.norm(A, 2)) ** 2):
+            fista = lasso_solve(inst, lam, tol=1e-9, max_iter=50000, lipschitz=lipschitz)
+            assert fista.converged, lipschitz
+            assert fista.objective == pytest.approx(cd_obj, abs=1e-8)
 
     def test_nonconvergence_reported_via_flag(self):
         inst = make_instance(seed=5, n=100, N=300, k=30)
