@@ -42,7 +42,7 @@ class InstanceConfig:
         if self.n_rows < 1 or self.n_cols < 1:
             raise DimensionError(f"need positive dimensions, got {self.n_rows}x{self.n_cols}")
         if self.n_rows > self.n_cols:
-            warnings.warn("n_rows > n_cols: not the undersampled regime", stacklevel=2)
+            warnings.warn("n_rows > n_cols: not the undersampled regime", stacklevel=3)
         if isinstance(self.signal, SparseSpec):
             if not 0 <= self.signal.k <= self.n_cols:
                 raise DimensionError(f"sparsity {self.signal.k} outside [0, {self.n_cols}]")

@@ -16,20 +16,35 @@ and Schoenlieb, SIAM J. Sci. Comput. 2022).  m is 0 when the step from v
 turned against the last move, (v - x_new) . (x_new - x) > 0 (gradient
 restart, O'Donoghue and Candes 2015); that guard keeps full momentum in
 check, though the objective need not fall on every step.  Each step makes
-one pass over A: _residual_and_gradient walks A in row blocks that stay
-in cache between A_b x and A_b^T r_b, and gives r = A x_new - y and the
-gradient A^T r together.  Both are linear in x, so at v they are carried
-as r_new + m (r_new - r), and so on, instead of being recomputed.  The
-KKT residual certifies the answer: with g = A^T (y - A x), optimality
-means g_i = lam * sign(x_i) on the support and |g_i| <= lam off it.  The
-solver is one loop whose head checks it, on the gradient it carries,
-which is the certificate's own bit for bit: at x = 0 before the first
-step, every _KKT_EVERY steps and at max_iter.  That check alone ends the
-solve, and the steps taken before it are the iterations.
+one pass over the columns it steps on: _residual_and_gradient walks them
+in row blocks that stay in cache between A_b x and A_b^T r_b, and gives
+r = A x_new - y and the gradient A^T r together.  Both are linear in x,
+so at v they are carried as r_new + m (r_new - r), and so on, instead of
+being recomputed.  The KKT residual certifies the answer: with
+g = A^T (y - A x), optimality means g_i = lam * sign(x_i) on the support
+and |g_i| <= lam off it.  The solver is one loop whose head checks it on
+the gradient it carries: at x = 0 before the first step, every
+_KKT_EVERY steps and at max_iter.
+
+Proximal gradient finds the support in finitely many steps (Hale, Yin
+and Zhang, SIAM J. Optim. 2008), and the loop uses that with a working
+set (Massias, Gramfort and Salmon, ICML 2018).  When the support of x at
+a check is the one of the check before and holds at most half the
+columns, the steps go on over a copy A_W of its columns, with x, v and
+the gradients restricted to them; r stays A x - y.  A check on W reads
+the restricted gradient, and only one that passes, that has cut the
+residual tenfold since the last check on all of A, or that comes at
+max_iter pays a pass over all of A at x.  If that pass finds violators
+|g_i| > lam off W, W becomes the support plus them and momentum
+restarts at x; past half the columns the steps go back to all of A.
+Only a check on all of A ends the solve, so the reported residual is the
+certificate's own bit for bit, and the steps taken before it are the
+iterations.
 """
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +57,10 @@ _LANCZOS_MAX_ITER = 300
 _LANCZOS_CHECK_EVERY = 4
 _KKT_EVERY = 10
 _STEP_GROWTH = 1.05
+# a check on the working set W that has cut the residual tenfold since the
+# last check on all of A makes another: a W that misses columns is found
+# a decade into its solve, not at tol, at the end of its slow tail
+_RECHECK_DROP = 0.1
 # bytes of A per row block of _residual_and_gradient: small enough that a
 # block read by A_b x is still in L2 when A_b^T r_b reads it again
 _BLOCK_BYTES = 768 * 1024
@@ -90,10 +109,12 @@ def _lanczos_top_eigenvalue(A: np.ndarray, q: np.ndarray) -> float:
     betas: list[float] = []
     beta = theta = 0.0
     for k in range(1, _LANCZOS_MAX_ITER + 1):
-        w = _residual_and_gradient(A, q, zero)[1]
-        alpha = float(q @ w)
-        w -= alpha * q + beta * q_prev
-        beta = float(np.linalg.norm(w))
+        # NaN or inf in A ends in the RangeError below, not numpy's warnings
+        with np.errstate(invalid="ignore"):
+            w = _residual_and_gradient(A, q, zero)[1]
+            alpha = float(q @ w)
+            w -= alpha * q + beta * q_prev
+            beta = float(np.linalg.norm(w))
         alphas.append(alpha)
         # theta, the last top Ritz value or any diagonal entry of T, bounds
         # the current one from below, so a beta this small (or 0, or NaN)
@@ -126,6 +147,17 @@ def _residual_and_gradient(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple
         r_b -= y[start : start + rows]
         np.matmul(A_b.T, r_b, out=shares[b])
     return r, shares.sum(axis=0)
+
+
+def _columns(A: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # A[:, cols] as a C-ordered copy in pages of its own, so that freeing
+    # it hands them back: a heap copy leaves a hole a later, larger copy
+    # cannot reuse.  mode="clip" fills out in place; "raise" buffers it
+    n = A.shape[0]
+    buf = mmap.mmap(-1, max(A.itemsize * n * cols.size, 1))
+    A_W = np.frombuffer(buf, dtype=A.dtype, count=n * cols.size).reshape(n, cols.size)
+    np.take(A, cols, axis=1, out=A_W, mode="clip")
+    return A_W
 
 
 def _objective(r: np.ndarray, x: np.ndarray, lam: float) -> float:
@@ -184,21 +216,60 @@ def lasso_solve(
     if lipschitz is not None and not 0.0 < lipschitz < math.inf:
         raise RangeError(f"lipschitz must be finite and > 0, got {lipschitz}")
     A, y = instance.A, instance.y
-    x = np.zeros(A.shape[1])
-    r, g = _residual_and_gradient(A, x, y)  # g: gradient of the smooth part at x
+    N = A.shape[1]
+    x = np.zeros(N)
     # NaN or inf in A or y reaches the gradient at x = 0; caught here, it
-    # cannot run the loop to its cap on NaN iterates
+    # cannot run the loop to its cap on NaN iterates, and numpy's warning
+    # about it would only repeat the RangeError
+    with np.errstate(invalid="ignore"):
+        r, g = _residual_and_gradient(A, x, y)  # g: gradient of the smooth part at x
     if not np.isfinite(g).all():
         raise RangeError("gradient at x = 0 is not finite: A or y holds NaN or inf")
     step = None if lipschitz is None else 1.0 / lipschitz
     v, grad_v, r_v = x, g, r
+    # the working set: None while the solver steps on all of A, else the
+    # columns W it steps on, with A_W their copy and x, v, g, grad_v
+    # restricted to them; r and r_v stay n-vectors.  full_residual is the
+    # residual of the last check on all of A
+    cols, A_W, support = None, A, None
 
     for k in range(max_iter + 1):
         if k % _KKT_EVERY == 0 or k == max_iter:
             # -g is A^T (y - A x) bit for bit: negation is exact
             residual = _kkt_violation(-g, x, lam)
-            if residual <= tol or k == max_iter:
+            if cols is not None and (
+                residual <= max(tol, _RECHECK_DROP * full_residual) or k == max_iter
+            ):
+                # check x on all of A
+                x_full = np.zeros(N)
+                x_full[cols] = x
+                r_full, g_full = _residual_and_gradient(A, x_full, y)
+                residual = full_residual = _kkt_violation(-g_full, x_full, lam)
+                if residual <= tol or k == max_iter:
+                    x, r = x_full, r_full
+                    break
+                outside = np.abs(g_full) > lam
+                outside[cols] = False
+                if outside.any():
+                    # widen W by the violators, restart momentum at x
+                    cols = np.flatnonzero((x_full != 0.0) | outside)
+                    A_W = None  # drop the old copy before making the new one
+                    if 2 * cols.size > N:
+                        cols, A_W, x, g = None, A, x_full, g_full
+                    else:
+                        A_W, x, g = _columns(A, cols), x_full[cols], g_full[cols]
+                    v, grad_v, r_v, r = x, g, r_full, r_full
+            elif residual <= tol or k == max_iter:
                 break
+            elif cols is None:
+                last, support, full_residual = support, np.flatnonzero(x), residual
+                if last is not None and 2 * support.size <= N and np.array_equal(support, last):
+                    # the support held still over the last _KKT_EVERY steps:
+                    # step on its columns, and on any where v is nonzero, as
+                    # r_v is A v - y (1 switch in 36 on fista-sweep has one)
+                    cols = np.flatnonzero((x != 0.0) | (v != 0.0))
+                    A_W = _columns(A, cols)
+                    x, v, g, grad_v = x[cols], v[cols], g[cols], grad_v[cols]
         if step is None:
             # the first step, 1/rho from the curvature along g0, scaled so
             # that a tiny g0 cannot underflow: g0 != 0 lies in range(A^T),
@@ -210,7 +281,7 @@ def lasso_solve(
         x_new = v - step * grad_v
         # soft threshold: u - clip(u, -t, t) is sign(u) * max(|u| - t, 0)
         x_new -= x_new.clip(-step * lam, step * lam)
-        r_new, g_new = _residual_and_gradient(A, x_new, y)
+        r_new, g_new = _residual_and_gradient(A_W, x_new, y)
         d_r, d_x = r_new - r_v, x_new - v
 
         if step * float(d_r @ d_r) > float(d_x @ d_x):

@@ -111,8 +111,11 @@ class TestSampling:
             InstanceConfig(10, 20, SparseSpec(k=5), noise_variance=-1.0)
 
     def test_oversampled_warns(self):
-        with pytest.warns(UserWarning):
+        # the warning names the caller's line, not the dataclass-generated
+        # __init__ (which read "<string>:8")
+        with pytest.warns(UserWarning, match="not the undersampled regime") as record:
             InstanceConfig(30, 20, SparseSpec(k=5))
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestObservables:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,8 @@ from amppath import (
     sample_instance,
     soft_threshold,
 )
-from amppath.lasso import _BLOCK_BYTES, _residual_and_gradient
+from amppath import lasso
+from amppath.lasso import _BLOCK_BYTES, _KKT_EVERY, _columns, _residual_and_gradient
 
 from _oracles import coordinate_descent_lasso
 
@@ -103,8 +105,11 @@ class TestPowerIteration:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, value):
+        # the RangeError alone: an inf used to print numpy's "invalid value
+        # encountered in matmul" first
         A = with_entry(np.random.default_rng(0).standard_normal((30, 50)), (3, 7), value)
-        with pytest.raises(RangeError, match="not finite"):
+        with warnings.catch_warnings(), pytest.raises(RangeError, match="not finite"):
+            warnings.simplefilter("error")
             power_iteration_sq_norm(A)
 
     def test_zero_matrix(self):
@@ -257,12 +262,14 @@ class TestLassoSolve:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["A", "y"])
     def test_non_finite_instance_rejected(self, where, value, lipschitz):
-        # a NaN used to run all iterations and return NaN, converged False
+        # a NaN used to run all iterations and return NaN, converged False;
+        # an inf in A used to print numpy's RuntimeWarning before the error
         inst = make_instance()
         A = with_entry(inst.A, (3, 7), value) if where == "A" else inst.A
         y = with_entry(inst.y, 5, value) if where == "y" else inst.y
         bad = ProblemInstance(A=A, x_o=inst.x_o, w=inst.w, y=y, config=inst.config)
-        with pytest.raises(RangeError, match="not finite"):
+        with warnings.catch_warnings(), pytest.raises(RangeError, match="not finite"):
+            warnings.simplefilter("error")
             lasso_solve(bad, 0.1, lipschitz=lipschitz)
 
     @pytest.mark.parametrize("lipschitz", [0.0, -1.0, np.nan, np.inf])
@@ -294,31 +301,78 @@ class TestLassoSolve:
         assert short.iterations <= at_l.iterations + 100
 
     @pytest.mark.parametrize("factor", [1.0, 0.3, None])
-    def test_two_matrix_products_per_step(self, factor):
-        # A x and A^T r at each accepted iterate, A x alone on a rejected
-        # step, two to start, and with no lipschitz one more for A g0; the
-        # KKT check reuses the carried gradient.  0.3 L makes the momentum
-        # steps overshoot, so some are rejected
+    def test_two_matrix_products_per_step(self, factor, monkeypatch):
+        # a step is one pass, A x and A^T r, over A or, once the support
+        # holds still, over the copy A_W of the working-set columns; a full
+        # pass starts the solve (with no lipschitz, one more product for
+        # A g0), and full passes check x on all of A, at most one per KKT
+        # check made on W.  Each copy counts its own products in units of a
+        # full product, so a pass over A_W adds 2 |W| / N.  0.3 L makes the
+        # momentum steps overshoot, so some are rejected; at 0.3 L and from
+        # the solver's own first step the working set widens once
         inst = make_instance(seed=11)
+        N = inst.A.shape[1]
         lipschitz = None if factor is None else factor * power_iteration_sq_norm(inst.A)
         start = 3 if factor is None else 2
         counted, matmuls = counting_instance(inst)
+        copies = []
+
+        def counting_columns(A, cols):
+            A_W = _columns(A, cols).view(CountingMatrix)
+            A_W.counter, A_W.full_size = [0], A.size
+            copies.append((cols.size, A_W.counter))
+            return A_W
+
+        monkeypatch.setattr(lasso, "_columns", counting_columns)
         result = lasso_solve(counted, 0.1, tol=1e-10, max_iter=20000, lipschitz=lipschitz)
         assert result.converged
-        # at least A x_new on every step: the counter sees the solver's products
-        assert result.iterations + start <= matmuls[0] <= 2 * result.iterations + start
+        assert len(copies) == (1 if factor == 1.0 else 2)
+        # whole passes over each copy: the steps made on it
+        restricted = [Fraction(counter[0] * N, 2 * width) for width, counter in copies]
+        assert all(steps.denominator == 1 and steps > 0 for steps in restricted)
+        # whole passes over A: the start, the steps made on it, and the checks
+        full_steps = result.iterations - sum(restricted)
+        checks = (matmuls[0] - start - 2 * full_steps) / 2
+        assert checks.denominator == 1
+        assert checks <= sum(steps // _KKT_EVERY + 1 for steps in restricted)
+        # the residual falls by decades from the switch to 1e-10: besides
+        # the check that ends each copy, the tenfold recheck makes more
+        assert checks >= len(copies) + 1
+        # narrower than one full pass per step
+        assert matmuls[0] + sum(counter[0] for _, counter in copies) < start + 2 * result.iterations
+
+    def test_working_set_widens_to_the_violators(self, monkeypatch):
+        # the second instance of the benchmark's fista-sweep at seed 201: at
+        # lambda 0.15 the support holds still for 10 steps, then grows, so a
+        # check on all of A finds violators off W and W takes them in
+        config = InstanceConfig(1000, 2000, SparseSpec(100, 1.0, random_sign=False), noise_variance=0.7, seed=805)
+        inst = sample_instance(config)
+        widths = []
+
+        def recording_columns(A, cols):
+            widths.append(cols.size)
+            return _columns(A, cols)
+
+        monkeypatch.setattr(lasso, "_columns", recording_columns)
+        result = lasso_solve(inst, 0.15, tol=1e-6, max_iter=5000, lipschitz=power_iteration_sq_norm(inst.A))
+        assert result.converged
+        assert len(widths) == 2
+        assert result.kkt_residual == kkt_residual(inst, 0.15, result.x_hat)
 
     @pytest.mark.parametrize(
-        "lam, max_iter", [(0.15, 20000), (0.15, 3), (0.0, 20000)], ids=["20000", "3", "lambda-0"]
+        "lam, max_iter", [(0.15, 20000), (0.15, 3), (0.15, 55), (0.0, 20000)],
+        ids=["20000", "3", "55-restricted", "lambda-0"],
     )
     def test_reported_residual_is_the_certificate(self, lam, max_iter):
         # the residual the solver stops on is kkt_residual of its answer,
         # bit for bit: the gradient it checks is a fresh A^T r, never the
         # linear combination it steps with; a capped solve checks on its
-        # last step, off the 10-step cadence; lambda 0 takes the same rule
+        # last step, off the 10-step cadence, and one capped while it steps
+        # on a working set, as at 55 here, reports a pass over all of A;
+        # lambda 0 takes the same rule
         inst = make_instance(seed=6)
         result = lasso_solve(inst, lam, max_iter=max_iter)
-        assert result.converged == (max_iter > 3)
+        assert result.converged == (max_iter > 55)
         assert result.kkt_residual == kkt_residual(inst, lam, result.x_hat)
 
     def test_support_shrinks_along_path_statistically(self):
@@ -370,6 +424,19 @@ class TestResidualAndGradient:
         finally:
             tracemalloc.stop()
         assert peak < A.nbytes / 8
+
+
+class TestColumns:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("width", [0, 1, 37])
+    def test_matches_fancy_indexing(self, order, width):
+        # the working-set copy is A[:, cols], C-ordered, whatever A's order
+        gen = np.random.default_rng(width)
+        A = np.asarray(gen.standard_normal((23, 80)), order=order)
+        cols = np.sort(gen.choice(80, size=width, replace=False))
+        A_W = _columns(A, cols)
+        assert A_W.flags.c_contiguous
+        assert np.array_equal(A_W, A[:, cols])
 
 
 class TestKktResidual:
