@@ -195,32 +195,50 @@ class TestLassoSolve:
         assert result.converged
         assert result.iterations <= 1000
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        n=st.integers(4, 40),
-        N=st.integers(4, 40),
-        fraction=st.floats(0.02, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_coordinate_descent_agreement_on_random_shapes(self, n, N, fraction, seed):
+    def test_coordinate_descent_agreement_on_random_shapes(self, monkeypatch):
         # full momentum lets the objective rise between restarts, so the
         # answer is checked against an independent minimizer on shapes the
         # fixed draws above leave out (n >= N too), lambda a fraction of
-        # lambda_max = max|A^T y|, from the solver's own first step and 1/L
-        gen = np.random.default_rng(seed)
-        A = gen.standard_normal((n, N)) / np.sqrt(n)
-        x_o = np.zeros(N)
-        x_o[gen.choice(N, size=max(1, N // 8), replace=False)] = 1.0
-        w = 0.3 * gen.standard_normal(n)
-        inst = ProblemInstance(A=A, x_o=x_o, w=w, y=A @ x_o + w, config=None)
-        lam = fraction * float(np.max(np.abs(A.T @ inst.y)))
-        cd_x = coordinate_descent_lasso(A, inst.y, lam)
-        r = inst.y - A @ cd_x
-        cd_obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(cd_x)))
-        for lipschitz in (None, float(np.linalg.norm(A, 2)) ** 2):
-            fista = lasso_solve(inst, lam, tol=1e-9, max_iter=50000, lipschitz=lipschitz)
-            assert fista.converged, lipschitz
-            assert fista.objective == pytest.approx(cd_obj, abs=1e-8)
+        # lambda_max = max|A^T y|, from the solver's own first step and 1/L.
+        # Wide draws, N >= 2n with lambda >= 0.3 lambda_max, have near sets
+        # that fit in half the columns, so some of them step on a working set
+        copies = []
+
+        def recording_columns(A, cols):
+            copies.append(cols.size)
+            return _columns(A, cols)
+
+        monkeypatch.setattr(lasso, "_columns", recording_columns)
+
+        @settings(max_examples=80, deadline=None, derandomize=True)
+        @given(
+            shape=st.one_of(
+                st.tuples(st.integers(4, 40), st.integers(4, 40), st.floats(0.02, 1.0)),
+                st.integers(4, 20).flatmap(
+                    lambda n: st.tuples(st.just(n), st.integers(2 * n, 80), st.floats(0.3, 1.0))
+                ),
+            ),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def agree(shape, seed):
+            n, N, fraction = shape
+            gen = np.random.default_rng(seed)
+            A = gen.standard_normal((n, N)) / np.sqrt(n)
+            x_o = np.zeros(N)
+            x_o[gen.choice(N, size=max(1, N // 8), replace=False)] = 1.0
+            w = 0.3 * gen.standard_normal(n)
+            inst = ProblemInstance(A=A, x_o=x_o, w=w, y=A @ x_o + w, config=None)
+            lam = fraction * float(np.max(np.abs(A.T @ inst.y)))
+            cd_x = coordinate_descent_lasso(A, inst.y, lam)
+            r = inst.y - A @ cd_x
+            cd_obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(cd_x)))
+            for lipschitz in (None, float(np.linalg.norm(A, 2)) ** 2):
+                fista = lasso_solve(inst, lam, tol=1e-9, max_iter=50000, lipschitz=lipschitz)
+                assert fista.converged, lipschitz
+                assert fista.objective == pytest.approx(cd_obj, abs=1e-8)
+
+        agree()
+        assert copies
 
     def test_nonconvergence_reported_via_flag(self):
         inst = make_instance(seed=5, n=100, N=300, k=30)
@@ -302,14 +320,14 @@ class TestLassoSolve:
 
     @pytest.mark.parametrize("factor", [1.0, 0.3, None])
     def test_two_matrix_products_per_step(self, factor, monkeypatch):
-        # a step is one pass, A x and A^T r, over A or, once the support
-        # holds still, over the copy A_W of the working-set columns; a full
+        # a step is one pass, A x and A^T r, over A or, from the check that
+        # enters the working set, over the copy A_W of its columns; a full
         # pass starts the solve (with no lipschitz, one more product for
         # A g0), and full passes check x on all of A, at most one per KKT
         # check made on W.  Each copy counts its own products in units of a
         # full product, so a pass over A_W adds 2 |W| / N.  0.3 L makes the
         # momentum steps overshoot, so some are rejected; at 0.3 L and from
-        # the solver's own first step the working set widens once
+        # the solver's own first step the working set is rebuilt once
         inst = make_instance(seed=11)
         N = inst.A.shape[1]
         lipschitz = None if factor is None else factor * power_iteration_sq_norm(inst.A)
@@ -343,8 +361,9 @@ class TestLassoSolve:
 
     def test_working_set_widens_to_the_violators(self, monkeypatch):
         # the second instance of the benchmark's fista-sweep at seed 201: at
-        # lambda 0.15 the support holds still for 10 steps, then grows, so a
-        # check on all of A finds violators off W and W takes them in
+        # lambda 0.15 the near set enters W at step 40, the support then
+        # grows past it, so a check on all of A finds violators off W and W
+        # is rebuilt as the near set there
         config = InstanceConfig(1000, 2000, SparseSpec(100, 1.0, random_sign=False), noise_variance=0.7, seed=805)
         inst = sample_instance(config)
         widths = []
@@ -358,6 +377,60 @@ class TestLassoSolve:
         assert result.converged
         assert len(widths) == 2
         assert result.kkt_residual == kkt_residual(inst, 0.15, result.x_hat)
+
+    def test_working_set_enters_on_the_near_set(self, monkeypatch):
+        # the first instance of the benchmark's fista-sweep at seed 1: at
+        # lambda 0.3 the support and the columns whose |g_j| is near lambda
+        # are 916 of the 2000 columns after 10 steps, so W is entered there,
+        # not 60-140 steps later when the support holds still
+        config = InstanceConfig(1000, 2000, SparseSpec(100, 1.0, random_sign=False), noise_variance=0.7, seed=4)
+        inst = sample_instance(config)
+        lipschitz = power_iteration_sq_norm(inst.A)  # Lanczos passes before the counting starts
+        passes, copies = [0], []
+
+        def counting_passes(A, x, y):
+            passes[0] += 1
+            return _residual_and_gradient(A, x, y)
+
+        def recording_columns(A, cols):
+            copies.append((passes[0], cols))
+            return _columns(A, cols)
+
+        monkeypatch.setattr(lasso, "_residual_and_gradient", counting_passes)
+        monkeypatch.setattr(lasso, "_columns", recording_columns)
+        result = lasso_solve(inst, 0.3, tol=1e-6, max_iter=5000, lipschitz=lipschitz)
+        assert result.converged
+        # every pass before the first copy is over all of A: the start and one per step
+        first_pass, _ = copies[0]
+        assert first_pass - 1 <= 20
+        assert np.all(np.isin(np.flatnonzero(result.x_hat), copies[-1][1]))
+        assert result.kkt_residual == kkt_residual(inst, 0.3, result.x_hat)
+
+    def test_working_set_falls_back_to_a_still_support(self, monkeypatch):
+        # at low lambda the near set holds more than half the columns at
+        # each of the 31 checks up to the copy, k = 0 included (65-119 of
+        # 120 here), so W can only be entered on the support once it has
+        # held still
+        inst = make_instance(seed=0)
+        events, near_set = [], lasso._near
+
+        def recording_near(x, g, lam):
+            near = near_set(x, g, lam)
+            events.append(("near", int(np.count_nonzero(near))))
+            return near
+
+        def recording_columns(A, cols):
+            events.append(("copy", cols.size))
+            return _columns(A, cols)
+
+        monkeypatch.setattr(lasso, "_near", recording_near)
+        monkeypatch.setattr(lasso, "_columns", recording_columns)
+        result = lasso_solve(inst, 0.01, tol=1e-6, max_iter=20000)
+        assert result.converged
+        first = events.index(next(event for event in events if event[0] == "copy"))
+        assert first > 0 and all(2 * size > 120 for _, size in events[:first])
+        assert 2 * events[first][1] <= 120
+        assert result.kkt_residual == kkt_residual(inst, 0.01, result.x_hat)
 
     @pytest.mark.parametrize(
         "lam, max_iter", [(0.15, 20000), (0.15, 3), (0.15, 55), (0.0, 20000)],
