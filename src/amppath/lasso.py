@@ -28,21 +28,20 @@ _KKT_EVERY steps and at max_iter.
 
 Proximal gradient finds the support in finitely many steps (Hale, Yin
 and Zhang, SIAM J. Optim. 2008), and the loop uses that with a working
-set (Massias, Gramfort and Salmon, ICML 2018).  At each check on all of
-A after the first, the near set is the support of x or v and the columns
-with |g_i| > _NEAR_MARGIN * lam, those the strong rule (Tibshirani et
-al., JRSS-B 2012) expects to join it.  When it holds at most half the
-columns, the steps go on over a copy A_W of its columns, with x, v and
-the gradients restricted to them; r stays A x - y.  When it is wider, as
-at low lam, W waits for the support: once that is the one of the check
-before and holds at most half the columns, W is its columns.  A check on
-W reads the restricted gradient, and only one that passes, that has cut
-the residual tenfold since the last check on all of A, or that comes at
-max_iter pays a pass over all of A at x.  If that pass finds violators
-|g_i| > lam off W, W becomes the near set at x, or where that holds more
-than half the columns the support plus the violators, and momentum
-restarts at x; past half the columns the steps go back to all of A.
-Only a check on all of A ends the solve, so the reported residual is the
+set (Massias, Gramfort and Salmon, ICML 2018).  Each check on all of A
+after the first that does not end the solve asks _working_set for W: the
+support of x or v and the columns with |g_i| > _NEAR_MARGIN * lam, those
+the strong rule (Tibshirani et al., JRSS-B 2012) expects to join it, or,
+where that holds more than half the columns, as at low lam, the same
+with |g_i| > lam.  When even that is wider than half the columns, the
+steps stay on all of A; otherwise they go on over a copy A_W of W's
+columns, with x, v and the gradients restricted to them; r stays A x - y.
+A check on W reads the restricted gradient, and only one that passes,
+that has cut the residual tenfold since the last check on all of A, or
+that comes at max_iter pays a pass over all of A at x.  If that pass
+finds violators |g_i| > lam off W, the steps go back to all of A with
+momentum restarted at x, and the same check picks W anew.  Only a check
+on all of A ends the solve, so the reported residual is the
 certificate's own bit for bit, and the steps taken before it are the
 iterations.
 """
@@ -69,7 +68,8 @@ _RECHECK_DROP = 0.1
 # a column is near the support when |g_j| > _NEAR_MARGIN * lam (the
 # strong rule's margin, Tibshirani et al., JRSS-B 2012); a lower margin
 # makes wider near sets: at 0.7, 2 of seed-1 fista-sweep's 12 near sets
-# fit in half the columns, at 0.5 none
+# fit in half the columns, at 0.5 none; margin 1.0 alone copies W twice
+# as often there (46 copies against 24), so _working_set tries it second
 _NEAR_MARGIN = 0.9
 # bytes of A per row block of _residual_and_gradient: small enough that a
 # block read by A_b x is still in L2 when A_b^T r_b reads it again
@@ -174,10 +174,17 @@ def _objective(r: np.ndarray, x: np.ndarray, lam: float) -> float:
     return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
 
 
-def _near(x: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
-    # the support of x and the columns whose |g_j| exceeds _NEAR_MARGIN *
-    # lam: those are the ones likely to join it (the strong rule's test)
-    return (x != 0.0) | (np.abs(g) > _NEAR_MARGIN * lam)
+def _working_set(x: np.ndarray, keep: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray | None:
+    # the columns where x != 0, keep holds or |g_j| > margin * lam, at the
+    # first margin whose set holds at most half the columns: _NEAR_MARGIN,
+    # the strong rule's test of the columns likely to join the support,
+    # then 1.0, the support and the violators; None when neither fits
+    base, abs_g = (x != 0.0) | keep, np.abs(g)
+    for margin in (_NEAR_MARGIN, 1.0):
+        cols = np.flatnonzero(base | (abs_g > margin * lam))
+        if 2 * cols.size <= x.size:
+            return cols
+    return None
 
 
 def _kkt_violation(g: np.ndarray, x: np.ndarray, lam: float) -> float:
@@ -247,7 +254,7 @@ def lasso_solve(
     # columns W it steps on, with A_W their copy and x, v, g, grad_v
     # restricted to them; r and r_v stay n-vectors.  full_residual is the
     # residual of the last check on all of A
-    cols, A_W, support = None, A, None
+    cols, A_W = None, A
 
     for k in range(max_iter + 1):
         if k % _KKT_EVERY == 0 or k == max_iter:
@@ -267,29 +274,16 @@ def lasso_solve(
                 outside = np.abs(g_full) > lam
                 outside[cols] = False
                 if outside.any():
-                    # W becomes the near set at x, or where that is too wide
-                    # the support plus the violators; momentum restarts at x
-                    cols = np.flatnonzero(_near(x_full, g_full, lam))
-                    if 2 * cols.size > N:
-                        cols = np.flatnonzero((x_full != 0.0) | outside)
-                    A_W = None  # drop the old copy before making the new one
-                    if 2 * cols.size > N:
-                        cols, A_W, x, g = None, A, x_full, g_full
-                    else:
-                        A_W, x, g = _columns(A, cols), x_full[cols], g_full[cols]
-                    v, grad_v, r_v, r = x, g, r_full, r_full
+                    # violators off W: back to all of A, momentum restarted
+                    # at x and the old copy dropped before the new one
+                    cols, A_W, x, g, r = None, A, x_full, g_full, r_full
+                    v, grad_v, r_v = x, g, r
             elif residual <= tol or k == max_iter:
                 break
-            elif cols is None:
-                last, support, full_residual = support, np.flatnonzero(x), residual
+            if cols is None and k > 0:
+                full_residual = residual
                 # W takes every column where v is nonzero, as r_v is A v - y
-                near = np.flatnonzero(_near(x, g, lam) | (v != 0.0))
-                if k > 0 and 2 * near.size <= N:
-                    cols = near
-                elif last is not None and 2 * support.size <= N and np.array_equal(support, last):
-                    # the near set is too wide, but the support held still
-                    # over the last _KKT_EVERY steps: step on its columns
-                    cols = np.flatnonzero((x != 0.0) | (v != 0.0))
+                cols = _working_set(x, v != 0.0, g, lam)
                 if cols is not None:
                     A_W = _columns(A, cols)
                     x, v, g, grad_v = x[cols], v[cols], g[cols], grad_v[cols]

@@ -19,7 +19,7 @@ from amppath import (
     soft_threshold,
 )
 from amppath import lasso
-from amppath.lasso import _BLOCK_BYTES, _KKT_EVERY, _columns, _residual_and_gradient
+from amppath.lasso import _BLOCK_BYTES, _KKT_EVERY, _NEAR_MARGIN, _columns, _residual_and_gradient
 
 from _oracles import coordinate_descent_lasso
 
@@ -362,8 +362,8 @@ class TestLassoSolve:
     def test_working_set_widens_to_the_violators(self, monkeypatch):
         # the second instance of the benchmark's fista-sweep at seed 201: at
         # lambda 0.15 the near set enters W at step 40, the support then
-        # grows past it, so a check on all of A finds violators off W and W
-        # is rebuilt as the near set there
+        # grows past it, so a check on all of A finds violators off W, the
+        # steps go back to all of A and that check enters the near set there
         config = InstanceConfig(1000, 2000, SparseSpec(100, 1.0, random_sign=False), noise_variance=0.7, seed=805)
         inst = sample_instance(config)
         widths = []
@@ -406,31 +406,59 @@ class TestLassoSolve:
         assert np.all(np.isin(np.flatnonzero(result.x_hat), copies[-1][1]))
         assert result.kkt_residual == kkt_residual(inst, 0.3, result.x_hat)
 
-    def test_working_set_falls_back_to_a_still_support(self, monkeypatch):
+    def test_working_set_falls_back_to_the_violators(self, monkeypatch):
         # at low lambda the near set holds more than half the columns at
-        # each of the 31 checks up to the copy, k = 0 included (65-119 of
-        # 120 here), so W can only be entered on the support once it has
-        # held still
+        # every check up to the copy (more than 60 of 120 here), so W is
+        # entered on the support, the columns where v is nonzero and those
+        # with |g_j| > lambda
         inst = make_instance(seed=0)
-        events, near_set = [], lasso._near
+        events, working_set = [], lasso._working_set
 
-        def recording_near(x, g, lam):
-            near = near_set(x, g, lam)
-            events.append(("near", int(np.count_nonzero(near))))
-            return near
+        def recording_working_set(x, keep, g, lam):
+            base = (x != 0.0) | keep
+            near = np.count_nonzero(base | (np.abs(g) > _NEAR_MARGIN * lam))
+            events.append(("check", near, np.flatnonzero(base | (np.abs(g) > lam))))
+            return working_set(x, keep, g, lam)
 
         def recording_columns(A, cols):
-            events.append(("copy", cols.size))
+            events.append(("copy", cols.size, cols))
             return _columns(A, cols)
 
-        monkeypatch.setattr(lasso, "_near", recording_near)
+        monkeypatch.setattr(lasso, "_working_set", recording_working_set)
         monkeypatch.setattr(lasso, "_columns", recording_columns)
         result = lasso_solve(inst, 0.01, tol=1e-6, max_iter=20000)
         assert result.converged
         first = events.index(next(event for event in events if event[0] == "copy"))
-        assert first > 0 and all(2 * size > 120 for _, size in events[:first])
+        assert first > 0 and all(2 * size > 120 for _, size, _ in events[:first])
         assert 2 * events[first][1] <= 120
+        np.testing.assert_array_equal(events[first][2], events[first - 1][2])
         assert result.kkt_residual == kkt_residual(inst, 0.01, result.x_hat)
+
+    @pytest.mark.parametrize(
+        "g, x, keep, expected",
+        [
+            ([0.95, -0.95, 0.95], [], [], [0, 1, 2]),
+            ([1.5, -1.5, 1.5, 0.95, -0.95, 0.95, 0.95], [], [], [0, 1, 2]),
+            ([1.5, -1.5, 1.5, 1.5, 1.5, 1.5], [], [], None),
+            ([1.5, -1.5, 1.5, 1.5, 1.5], [], [], [0, 1, 2, 3, 4]),
+            ([0.95, -0.95, 0.95], [9], [8], [0, 1, 2, 8, 9]),
+            ([1.5, -1.5, 1.5, 0.95, -0.95, 0.95, 0.95], [9], [8], [0, 1, 2, 8, 9]),
+        ],
+        ids=["near-fits", "violators-fit", "neither-fits", "half-fits", "keep", "keep-violators"],
+    )
+    def test_working_set_choice(self, g, x, keep, expected):
+        # N = 10 and lambda 1: the columns where x != 0, keep holds or
+        # |g_j| > 0.9, else, past 5 columns, |g_j| > 1 in place of 0.9,
+        # else None; the leading entries of g are set, the rest are 0
+        g_full, x_full, keep_full = np.zeros(10), np.zeros(10), np.zeros(10, dtype=bool)
+        g_full[: len(g)] = g
+        x_full[x] = 0.3
+        keep_full[keep] = True
+        cols = lasso._working_set(x_full, keep_full, g_full, 1.0)
+        if expected is None:
+            assert cols is None
+        else:
+            np.testing.assert_array_equal(cols, expected)
 
     @pytest.mark.parametrize(
         "lam, max_iter", [(0.15, 20000), (0.15, 3), (0.15, 55), (0.0, 20000)],
