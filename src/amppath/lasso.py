@@ -34,13 +34,26 @@ support of x or v and the columns with |g_i| > _NEAR_MARGIN * lam, those
 the strong rule (Tibshirani et al., JRSS-B 2012) expects to join it, or,
 where that holds more than half the columns, as at low lam, the same
 with |g_i| > lam.  When even that is wider than half the columns, the
-steps stay on all of A; otherwise they go on over a copy A_W of W's
-columns, with x, v and the gradients restricted to them; r stays A x - y.
-A check on W reads the restricted gradient, and only one that passes,
-that has cut the residual tenfold since the last check on all of A, or
-that comes at max_iter pays a pass over all of A at x.  If that pass
-finds violators |g_i| > lam off W, the steps go back to all of A with
-momentum restarted at x, and the same check picks W anew.  Only a check
+steps stay on all of A; otherwise they go on over a float32 copy A_W of
+W's columns, with x, v and the gradients restricted to them; r stays
+A x - y.  A pass over A_W is bound by memory traffic, so float32 halves
+its cost, but float32 cannot certify at tol: the steps on W use it only
+for a correction, by mixed-precision iterative refinement (Carson and
+Higham, SIAM J. Sci. Comput. 2018).  From an anchor x_a, where r_a and
+g_a are float64 values from a pass over all of A, a step to x_new takes
+r = r_a + A_W d and g = g_a + A_W^T A_W d with d = x_new - x_a, so the
+float32 error scales with |A d|, not with r.  A_W and d are scaled by
+powers of two, which is exact, to stay in float32's range; columns
+float32 cannot hold are copied in float64 instead.  A check on W reads the
+restricted gradient, and only one that passes, that has cut the residual
+tenfold since the last check on all of A, that is not below the last
+check on W, or that comes at max_iter pays a pass over all of A at x.
+If that pass finds violators |g_i| > lam off W, the steps go back to all
+of A with momentum restarted at x, and the same check picks W anew;
+otherwise it becomes the anchor, as the check that entered W did.  A
+check that is not below the last one may be reading the float32 error,
+which also fails the step test (read from a difference of two corrected
+residuals) and halves the step; the new anchor clears it.  Only a check
 on all of A ends the solve, so the reported residual is the
 certificate's own bit for bit, and the steps taken before it are the
 iterations.
@@ -144,30 +157,65 @@ def _lanczos_top_eigenvalue(A: np.ndarray, q: np.ndarray) -> float:
 
 
 def _residual_and_gradient(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # r = A x - y and g = A^T r in one pass over A: each block of rows is
-    # read by A_b x and again, still in cache, by A_b^T r_b; the blocks'
-    # shares of g are summed at the end
+    # r = A x - y and g = A^T r in one pass over A, in A's dtype: each block
+    # of rows is read by A_b x and again, still in cache, by A_b^T r_b; the
+    # blocks' shares of g are summed at the end, and both come back float64
     n, N = A.shape
-    rows = max(1, _BLOCK_BYTES // (8 * max(N, 1)))
-    r = np.empty(n)
-    shares = np.empty((-(-n // rows), N))
+    rows = max(1, _BLOCK_BYTES // (A.itemsize * max(N, 1)))
+    r = np.empty(n, A.dtype)
+    shares = np.empty((-(-n // rows), N), A.dtype)
     for b, start in enumerate(range(0, n, rows)):
         A_b, r_b = A[start : start + rows], r[start : start + rows]
         np.matmul(A_b, x, out=r_b)
         r_b -= y[start : start + rows]
         np.matmul(A_b.T, r_b, out=shares[b])
-    return r, shares.sum(axis=0)
+    return r.astype(np.float64, copy=False), shares.sum(axis=0, dtype=np.float64)
 
 
-def _columns(A: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    # A[:, cols] as a C-ordered copy in pages of its own, so that freeing
-    # it hands them back: a heap copy leaves a hole a later, larger copy
-    # cannot reuse.  mode="clip" fills out in place; "raise" buffers it
+def _pages(n: int, N: int, dtype: np.typing.DTypeLike) -> np.ndarray:
+    # an n x N array in pages of its own, so that freeing it hands them
+    # back: a heap copy leaves a hole a later, larger copy cannot reuse
+    buf = mmap.mmap(-1, max(np.dtype(dtype).itemsize * n * N, 1))
+    return np.frombuffer(buf, dtype=dtype, count=n * N).reshape(n, N)
+
+
+def _columns(A: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
+    # the copy 2^e A[:, cols] and e: float32, C-ordered, made a row block
+    # at a time through a block in A's dtype, with e set so that the first
+    # block's largest entry lies in [0.5, 1).  Scaling by 2^e is exact; a
+    # block whose cast overflows or flushes a nonzero to zero sends the
+    # copy back to A's dtype with e = 0.  mode="clip" fills out in place,
+    # "raise" buffers it
     n = A.shape[0]
-    buf = mmap.mmap(-1, max(A.itemsize * n * cols.size, 1))
-    A_W = np.frombuffer(buf, dtype=A.dtype, count=n * cols.size).reshape(n, cols.size)
+    rows = max(1, _BLOCK_BYTES // (A.itemsize * max(cols.size, 1)))
+    e = -int(np.frexp(np.max(np.abs(A[:rows, cols]), initial=0.0))[1])
+    block = np.empty((min(rows, n), cols.size), A.dtype)
+    A_W = _pages(n, cols.size, np.float32)
+    with np.errstate(over="ignore"):
+        for start in range(0, n, rows):
+            out = A_W[start : start + rows]
+            b = block[: out.shape[0]]
+            np.take(A[start : start + rows], cols, axis=1, out=b, mode="clip")
+            out[...] = np.ldexp(b, e)
+            # no nonzero was flushed when out holds no zero or as many as b
+            if not (np.isfinite(out).all() and (out.all() or np.count_nonzero(out) == np.count_nonzero(b))):
+                break
+        else:
+            return A_W, e
+    del A_W, out  # the float32 pages go back before the float64 copy is made
+    A_W = _pages(n, cols.size, A.dtype)
     np.take(A, cols, axis=1, out=A_W, mode="clip")
-    return A_W
+    return A_W, 0
+
+
+def _correction(A_W: np.ndarray, e: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # A d and A^T A d, float64 and in A's units, from one pass over the copy
+    # A_W = 2^e A[:, W] in its own dtype; d goes in as 2^b d with max |2^b d|
+    # in [0.5, 1), so that neither it nor the products leave float32's range
+    b = -int(np.frexp(np.max(np.abs(d), initial=0.0))[1])
+    zero = np.zeros(A_W.shape[0], A_W.dtype)
+    a_d, g_d = _residual_and_gradient(A_W, np.ldexp(d, b).astype(A_W.dtype), zero)
+    return np.ldexp(a_d, -(e + b)), np.ldexp(g_d, -(2 * e + b))
 
 
 def _objective(r: np.ndarray, x: np.ndarray, lam: float) -> float:
@@ -251,17 +299,24 @@ def lasso_solve(
     step = None if lipschitz is None else 1.0 / lipschitz
     v, grad_v, r_v = x, g, r
     # the working set: None while the solver steps on all of A, else the
-    # columns W it steps on, with A_W their copy and x, v, g, grad_v
-    # restricted to them; r and r_v stay n-vectors.  full_residual is the
-    # residual of the last check on all of A
-    cols, A_W = None, A
+    # columns W it steps on, with A_W = 2^e A[:, W] their copy and x, v, g,
+    # grad_v restricted to them; r and r_v stay n-vectors.  A step on W adds
+    # to the anchor x_a, r_a, g_a, exact values from a pass over all of A,
+    # the correction for d = x_new - x_a in A_W's dtype, so its error scales
+    # with |A d|, not with r.  full_residual is the residual of the last
+    # check on all of A, w_residual that of the last check on W
+    cols = A_W = None
 
     for k in range(max_iter + 1):
         if k % _KKT_EVERY == 0 or k == max_iter:
             # -g is A^T (y - A x) bit for bit: negation is exact
             residual = _kkt_violation(-g, x, lam)
+            if cols is not None:
+                # a check on W that is not below the last one may be reading
+                # the corrections' float32 error: a new anchor clears it
+                stalled, w_residual = residual >= w_residual, residual
             if cols is not None and (
-                residual <= max(tol, _RECHECK_DROP * full_residual) or k == max_iter
+                residual <= max(tol, _RECHECK_DROP * full_residual) or stalled or k == max_iter
             ):
                 # check x on all of A
                 x_full = np.zeros(N)
@@ -276,8 +331,12 @@ def lasso_solve(
                 if outside.any():
                     # violators off W: back to all of A, momentum restarted
                     # at x and the old copy dropped before the new one
-                    cols, A_W, x, g, r = None, A, x_full, g_full, r_full
+                    cols, A_W, x, g, r = None, None, x_full, g_full, r_full
                     v, grad_v, r_v = x, g, r
+                else:
+                    # W holds: the steps go on from this pass's exact values
+                    x_a, r_a, g_a = x, r_full, g_full[cols]
+                    r, g = r_a, g_a
             elif residual <= tol or k == max_iter:
                 break
             if cols is None and k > 0:
@@ -285,8 +344,9 @@ def lasso_solve(
                 # W takes every column where v is nonzero, as r_v is A v - y
                 cols = _working_set(x, v != 0.0, g, lam)
                 if cols is not None:
-                    A_W = _columns(A, cols)
+                    A_W, e = _columns(A, cols)
                     x, v, g, grad_v = x[cols], v[cols], g[cols], grad_v[cols]
+                    x_a, r_a, g_a, w_residual = x, r, g, math.inf
         if step is None:
             # the first step, 1/rho from the curvature along g0, scaled so
             # that a tiny g0 cannot underflow: g0 != 0 lies in range(A^T),
@@ -298,7 +358,11 @@ def lasso_solve(
         x_new = v - step * grad_v
         # soft threshold: u - clip(u, -t, t) is sign(u) * max(|u| - t, 0)
         x_new -= x_new.clip(-step * lam, step * lam)
-        r_new, g_new = _residual_and_gradient(A_W, x_new, y)
+        if cols is None:
+            r_new, g_new = _residual_and_gradient(A, x_new, y)
+        else:
+            a_d, g_d = _correction(A_W, e, x_new - x_a)
+            r_new, g_new = r_a + a_d, g_a + g_d
         d_r, d_x = r_new - r_v, x_new - v
 
         if step * float(d_r @ d_r) > float(d_x @ d_x):

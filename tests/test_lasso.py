@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -19,7 +20,7 @@ from amppath import (
     soft_threshold,
 )
 from amppath import lasso
-from amppath.lasso import _BLOCK_BYTES, _KKT_EVERY, _NEAR_MARGIN, _columns, _residual_and_gradient
+from amppath.lasso import _BLOCK_BYTES, _KKT_EVERY, _NEAR_MARGIN, _columns, _correction, _residual_and_gradient
 
 from _oracles import coordinate_descent_lasso
 
@@ -69,6 +70,21 @@ def known_singular_values(n, N, second, seed):
     V = np.linalg.qr(gen.standard_normal((N, n)))[0]
     s = np.concatenate(([1.0, second], np.linspace(0.9, 0.1, n - 2)))
     return (U * s) @ V.T
+
+
+def float64_kernel(A, x, y):
+    # r = A x - y and A^T r block by block as for float64 alone: rows per
+    # block sized by 8 bytes, float64 buffers, the shares summed in order
+    n, N = A.shape
+    rows = max(1, _BLOCK_BYTES // (8 * max(N, 1)))
+    r = np.empty(n)
+    shares = np.empty((-(-n // rows), N))
+    for b, start in enumerate(range(0, n, rows)):
+        A_b, r_b = A[start : start + rows], r[start : start + rows]
+        np.matmul(A_b, x, out=r_b)
+        r_b -= y[start : start + rows]
+        np.matmul(A_b.T, r_b, out=shares[b])
+    return r, shares.sum(axis=0)
 
 
 def with_entry(array, index, value):
@@ -336,10 +352,11 @@ class TestLassoSolve:
         copies = []
 
         def counting_columns(A, cols):
-            A_W = _columns(A, cols).view(CountingMatrix)
+            A_W, e = _columns(A, cols)
+            A_W = A_W.view(CountingMatrix)
             A_W.counter, A_W.full_size = [0], A.size
             copies.append((cols.size, A_W.counter))
-            return A_W
+            return A_W, e
 
         monkeypatch.setattr(lasso, "_columns", counting_columns)
         result = lasso_solve(counted, 0.1, tol=1e-10, max_iter=20000, lipschitz=lipschitz)
@@ -434,6 +451,103 @@ class TestLassoSolve:
         np.testing.assert_array_equal(events[first][2], events[first - 1][2])
         assert result.kkt_residual == kkt_residual(inst, 0.01, result.x_hat)
 
+    def test_stalled_check_on_the_working_set_pays_a_full_pass(self, monkeypatch):
+        # a step on W adds a float32 correction to the anchor, and its error
+        # grows with the distance from it; a check on W whose residual is not
+        # below the last check on W may read that error, so it pays a pass
+        # over all of A, which re-anchors.  Without that rule the README
+        # sweep's lambda 0.0025 row at seed 1 ran to the 20,000 cap at KKT
+        # 2.01: the step test read the error and halved the step to 1e-311
+        inst = make_instance(seed=0)
+        N = inst.A.shape[1]
+        events, kkt_violation = [], lasso._kkt_violation
+
+        def recording_kkt(g, x, lam):
+            residual = kkt_violation(g, x, lam)
+            events.append(("check", g.size, residual))
+            return residual
+
+        def recording_passes(A, x, y):
+            if A is inst.A:
+                events.append(("full",))
+            return _residual_and_gradient(A, x, y)
+
+        def recording_columns(A, cols):
+            events.append(("copy",))
+            return _columns(A, cols)
+
+        monkeypatch.setattr(lasso, "_kkt_violation", recording_kkt)
+        monkeypatch.setattr(lasso, "_residual_and_gradient", recording_passes)
+        monkeypatch.setattr(lasso, "_columns", recording_columns)
+        result = lasso_solve(inst, 0.01, tol=1e-6, max_iter=20000)
+        assert result.converged
+        stalls, last = 0, None
+        for i, event in enumerate(events):
+            if event[0] == "copy":
+                last = None
+            elif event[0] == "check" and event[1] < N:
+                if last is not None and event[2] >= last:
+                    stalls += 1
+                    assert events[i + 1] == ("full",), i
+                last = event[2]
+        assert stalls > 0
+        assert result.kkt_residual == kkt_residual(inst, 0.01, result.x_hat)
+
+    def test_full_check_that_keeps_the_working_set_reanchors(self, monkeypatch):
+        # after a pass over all of A that keeps W, the steps go on from that
+        # pass's r and its g restricted to W, bit for bit, not from the
+        # values the float32 corrections carried up to it
+        inst = make_instance(seed=11)
+        passes, kept, last = [], [], {"A_W": None, "passes": 0}
+
+        def recording_passes(A, x, y):
+            r, g = _residual_and_gradient(A, x, y)
+            if A is inst.A:
+                passes.append((r, g))
+            return r, g
+
+        def checking_correction(A_W, e, d):
+            solver = sys._getframe(1).f_locals
+            if A_W is last["A_W"] and len(passes) > last["passes"]:
+                r_full, g_full = passes[-1]
+                kept.append(
+                    np.array_equal(solver["r"], r_full) and np.array_equal(solver["g"], g_full[solver["cols"]])
+                )
+            last["A_W"], last["passes"] = A_W, len(passes)
+            return _correction(A_W, e, d)
+
+        monkeypatch.setattr(lasso, "_residual_and_gradient", recording_passes)
+        monkeypatch.setattr(lasso, "_correction", checking_correction)
+        result = lasso_solve(inst, 0.1, tol=1e-10, max_iter=20000)
+        assert result.converged
+        assert kept and all(kept)
+
+    @pytest.mark.parametrize("power", [-140, -160, 130])
+    def test_float32_steps_hold_any_scale(self, power, monkeypatch):
+        # A and lambda scaled by 2^power scale x by 2^-power; entries of A
+        # near 2^-144 or 2^126, or of x near 2^140 or 2^-130, leave float32's
+        # range unless the copy and d are scaled, which is exact, so the
+        # scaled solve is the unscaled one bit for bit, on float32 copies
+        inst = sample_instance(InstanceConfig(200, 800, SparseSpec(k=20), noise_variance=0.1, seed=0))
+        dtypes = []
+
+        def recording_columns(A, cols):
+            A_W, e = _columns(A, cols)
+            dtypes.append(A_W.dtype)
+            return A_W, e
+
+        monkeypatch.setattr(lasso, "_columns", recording_columns)
+        base = lasso_solve(inst, 0.05)
+        scale = 2.0**power
+        scaled = ProblemInstance(A=scale * inst.A, x_o=inst.x_o, w=inst.w, y=inst.y, config=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = lasso_solve(scaled, scale * 0.05)
+        assert base.converged and result.converged
+        assert result.iterations == base.iterations
+        np.testing.assert_array_equal(scale * result.x_hat, base.x_hat)
+        assert dtypes and all(dtype == np.float32 for dtype in dtypes)
+
     @pytest.mark.parametrize(
         "g, x, keep, expected",
         [
@@ -527,17 +641,83 @@ class TestResidualAndGradient:
         assert peak < A.nbytes / 8
 
 
+    @pytest.mark.parametrize(
+        "n, order, zero_y",
+        [(2 * ROWS, "C", False), (2 * ROWS + 7, "C", False), (ROWS // 2, "C", False), (1, "C", False),
+         (2 * ROWS + 7, "F", False), (2 * ROWS + 7, "C", True)],
+        ids=["multiple-of-block", "ragged", "below-one-block", "one-row", "fortran", "zero-y"],
+    )
+    def test_float64_matches_the_float64_kernel(self, n, order, zero_y):
+        # a float64 A gives the bits of the kernel written for float64 alone
+        gen = np.random.default_rng(n)
+        A = np.asarray(gen.standard_normal((n, self.N)), order=order)
+        x = gen.standard_normal(self.N)
+        y = np.zeros(n) if zero_y else gen.standard_normal(n)
+        r, g = _residual_and_gradient(A, x, y)
+        r_ref, g_ref = float64_kernel(A, x, y)
+        assert r.dtype == g.dtype == np.float64
+        assert np.array_equal(r, r_ref) and np.array_equal(g, g_ref)
+
+    def test_float32_allocates_no_float64_block(self):
+        # row blocks sized by 4 bytes, r and the blocks' shares of g in
+        # float32: a float64 array of the shares alone would take twice the
+        # bytes of the float32 one; the results still come back float64
+        n = 2000
+        gen = np.random.default_rng(1)
+        A = gen.standard_normal((n, self.N)).astype(np.float32)
+        x = gen.standard_normal(self.N).astype(np.float32)
+        y = gen.standard_normal(n).astype(np.float32)
+        shares = -(-n // (_BLOCK_BYTES // (4 * self.N))) * self.N * 4
+        tracemalloc.start()
+        try:
+            r, g = _residual_and_gradient(A, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * shares
+        assert r.dtype == g.dtype == np.float64
+        A64 = A.astype(np.float64)
+        r_plain = A64 @ x - y
+        g_plain = A64.T @ r_plain
+        assert np.linalg.norm(r - r_plain) <= 1e-5 * np.linalg.norm(r_plain)
+        assert np.linalg.norm(g - g_plain) <= 1e-5 * np.linalg.norm(g_plain)
+
+
 class TestColumns:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("width", [0, 1, 37])
     def test_matches_fancy_indexing(self, order, width):
-        # the working-set copy is A[:, cols], C-ordered, whatever A's order
+        # the working-set copy is A[:, cols] scaled by 2^e and cast to
+        # float32, C-ordered whatever A's order, 4 bytes an entry; its
+        # largest entry lies in [0.5, 1) (23 rows are one row block)
         gen = np.random.default_rng(width)
         A = np.asarray(gen.standard_normal((23, 80)), order=order)
         cols = np.sort(gen.choice(80, size=width, replace=False))
-        A_W = _columns(A, cols)
+        A_W, e = _columns(A, cols)
         assert A_W.flags.c_contiguous
-        assert np.array_equal(A_W, A[:, cols])
+        assert A_W.dtype == np.float32 and A_W.nbytes == 4 * 23 * width
+        assert np.array_equal(A_W, np.ldexp(A[:, cols], e).astype(np.float32))
+        if width:
+            assert 0.5 <= np.max(np.abs(np.ldexp(A[:, cols], e))) < 1.0
+
+
+    @pytest.mark.parametrize("fault", ["flushed", "overflow"])
+    def test_falls_back_to_float64(self, fault):
+        # columns float32 cannot hold come back as the float64 copy with
+        # e = 0: a column 2^-200 times the rest flushes to zero, and rows
+        # past the first row block (98 rows at this width) 2^200 times the
+        # first overflow; the cast's overflow warning is not raised
+        gen = np.random.default_rng(5)
+        A = gen.standard_normal((200, 1000))
+        if fault == "flushed":
+            A[:, 3] *= 2.0**-200
+        else:
+            A[100:] *= 2.0**200
+        cols = np.arange(1000)
+        A_W, e = _columns(A, cols)
+        assert A_W.dtype == np.float64 and e == 0
+        assert A_W.flags.c_contiguous
+        assert np.array_equal(A_W, A)
 
 
 class TestKktResidual:
