@@ -29,27 +29,26 @@ _KKT_EVERY steps and at max_iter.
 Proximal gradient finds the support in finitely many steps (Hale, Yin
 and Zhang, SIAM J. Optim. 2008), and the loop uses that with a working
 set (Massias, Gramfort and Salmon, ICML 2018).  Each check on all of A
-after the first that does not end the solve asks _working_set for W: the
-support of x or v and the columns with |g_i| > _NEAR_MARGIN * lam, those
-the strong rule (Tibshirani et al., JRSS-B 2012) expects to join it, or,
-where that holds more than half the columns, as at low lam, the same
-with |g_i| > lam.  When even that is wider than half the columns, the
-steps stay on all of A; otherwise they go on over a float32 copy A_W of
-W's columns, with x, v and the gradients restricted to them; r stays
-A x - y.  A pass over A_W is bound by memory traffic, so float32 halves
-its cost, but float32 cannot certify at tol: the steps on W use it only
-for a correction, by mixed-precision iterative refinement (Carson and
-Higham, SIAM J. Sci. Comput. 2018).  From an anchor x_a, where r_a and
-g_a are float64 values from a pass over all of A, a step to x_new takes
+after the first that does not end the solve copies the columns of W,
+the near set: the support of x or v and the columns with
+|g_i| > _NEAR_MARGIN * lam, those the strong rule (Tibshirani et al.,
+JRSS-B 2012) expects to join it.  The steps then go on over a float32
+copy A_W, with x, v and the gradients restricted to W; r stays A x - y.
+A pass over A_W is bound by memory traffic, so float32 halves its cost,
+but float32 cannot certify at tol: the steps on W use it only for a
+correction, by mixed-precision iterative refinement (Carson and Higham,
+SIAM J. Sci. Comput. 2018).  From an anchor x_a, where r_a and g_a are
+float64 values from a pass over all of A, a step to x_new takes
 r = r_a + A_W d and g = g_a + A_W^T A_W d with d = x_new - x_a, so the
 float32 error scales with |A d|, not with r.  A_W and d are scaled by
 powers of two, which is exact, to stay in float32's range; columns
-float32 cannot hold are copied in float64 instead.  A check on W reads the
-restricted gradient, and only one that passes, that has cut the residual
-tenfold since the last check on all of A, that is not below the last
-check on W, or that comes at max_iter pays a pass over all of A at x.
-If that pass finds violators |g_i| > lam off W, the steps go back to all
-of A with momentum restarted at x, and the same check picks W anew;
+float32 cannot hold are copied in float64 instead.
+
+A check on W reads the restricted gradient.  It pays a pass over all of
+A at x when it passes, when it has cut the residual tenfold since the
+last check on all of A, when it is not below the last check on W, or at
+max_iter.  If that pass finds violators |g_i| > lam off W, momentum
+restarts at x and the same check copies W anew, however wide it is;
 otherwise it becomes the anchor, as the check that entered W did.  A
 check that is not below the last one may be reading the float32 error,
 which also fails the step test (read from a difference of two corrected
@@ -61,7 +60,6 @@ iterations.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +77,7 @@ _STEP_GROWTH = 1.05
 # a decade into its solve, not at tol, at the end of its slow tail
 _RECHECK_DROP = 0.1
 # a column is near the support when |g_j| > _NEAR_MARGIN * lam (the
-# strong rule's margin, Tibshirani et al., JRSS-B 2012); a lower margin
-# makes wider near sets: at 0.7, 2 of seed-1 fista-sweep's 12 near sets
-# fit in half the columns, at 0.5 none; margin 1.0 alone copies W twice
-# as often there (46 copies against 24), so _working_set tries it second
+# strong rule's margin, Tibshirani et al., JRSS-B 2012)
 _NEAR_MARGIN = 0.9
 # bytes of A per row block of _residual_and_gradient: small enough that a
 # block read by A_b x is still in L2 when A_b^T r_b reads it again
@@ -172,13 +167,6 @@ def _residual_and_gradient(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple
     return r.astype(np.float64, copy=False), shares.sum(axis=0, dtype=np.float64)
 
 
-def _pages(n: int, N: int, dtype: np.typing.DTypeLike) -> np.ndarray:
-    # an n x N array in pages of its own, so that freeing it hands them
-    # back: a heap copy leaves a hole a later, larger copy cannot reuse
-    buf = mmap.mmap(-1, max(np.dtype(dtype).itemsize * n * N, 1))
-    return np.frombuffer(buf, dtype=dtype, count=n * N).reshape(n, N)
-
-
 def _columns(A: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
     # the copy 2^e A[:, cols] and e: float32, C-ordered, made a row block
     # at a time through a block in A's dtype, with e set so that the first
@@ -190,7 +178,7 @@ def _columns(A: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
     rows = max(1, _BLOCK_BYTES // (A.itemsize * max(cols.size, 1)))
     e = -int(np.frexp(np.max(np.abs(A[:rows, cols]), initial=0.0))[1])
     block = np.empty((min(rows, n), cols.size), A.dtype)
-    A_W = _pages(n, cols.size, np.float32)
+    A_W = np.empty((n, cols.size), np.float32)
     with np.errstate(over="ignore"):
         for start in range(0, n, rows):
             out = A_W[start : start + rows]
@@ -202,10 +190,8 @@ def _columns(A: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
                 break
         else:
             return A_W, e
-    del A_W, out  # the float32 pages go back before the float64 copy is made
-    A_W = _pages(n, cols.size, A.dtype)
-    np.take(A, cols, axis=1, out=A_W, mode="clip")
-    return A_W, 0
+    del A_W, out  # the float32 copy goes before the float64 one is made
+    return np.take(A, cols, axis=1), 0
 
 
 def _correction(A_W: np.ndarray, e: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,24 +208,18 @@ def _objective(r: np.ndarray, x: np.ndarray, lam: float) -> float:
     return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
 
 
-def _working_set(x: np.ndarray, keep: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray | None:
-    # the columns where x != 0, keep holds or |g_j| > margin * lam, at the
-    # first margin whose set holds at most half the columns: _NEAR_MARGIN,
-    # the strong rule's test of the columns likely to join the support,
-    # then 1.0, the support and the violators; None when neither fits
-    base, abs_g = (x != 0.0) | keep, np.abs(g)
-    for margin in (_NEAR_MARGIN, 1.0):
-        cols = np.flatnonzero(base | (abs_g > margin * lam))
-        if 2 * cols.size <= x.size:
-            return cols
-    return None
+def _working_set(x: np.ndarray, keep: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
+    # the near set: the columns where x != 0, keep holds or
+    # |g_j| > _NEAR_MARGIN * lam, the strong rule's test of the columns
+    # likely to join the support
+    return np.flatnonzero((x != 0.0) | keep | (np.abs(g) > _NEAR_MARGIN * lam))
 
 
 def _kkt_violation(g: np.ndarray, x: np.ndarray, lam: float) -> float:
-    # the violation kkt_residual documents, from a gradient g = A^T (y - A x)
-    # the caller already holds
+    # the violation kkt_residual documents, from the gradient the caller
+    # already holds, g = A^T (A x - y): |g_i + lam sign(x_i)| on the support
     on = x != 0.0
-    viol_on = np.max(np.abs(g[on] - lam * np.sign(x[on]))) if np.any(on) else 0.0
+    viol_on = np.max(np.abs(g[on] + lam * np.sign(x[on]))) if np.any(on) else 0.0
     viol_off = np.max(np.maximum(np.abs(g[~on]) - lam, 0.0)) if np.any(~on) else 0.0
     # at lam = 0 there is no scale to divide by: the violation is max |g_i|
     return float(max(viol_on, viol_off)) / (lam if lam > 0.0 else 1.0)
@@ -254,9 +234,9 @@ def kkt_residual(instance: ProblemInstance, lam: float, x_hat: np.ndarray) -> fl
     """
     if not 0.0 <= lam < math.inf:
         raise RangeError(f"lambda must be finite and >= 0 for the KKT certificate, got {lam}")
-    # -g is A^T (y - A x) bit for bit (negation is exact), from the same
-    # kernel as the solver's gradient, so the two certificates agree exactly
-    return _kkt_violation(-_residual_and_gradient(instance.A, x_hat, instance.y)[1], x_hat, lam)
+    # the same kernel as the solver's gradient, so the two certificates
+    # agree exactly
+    return _kkt_violation(_residual_and_gradient(instance.A, x_hat, instance.y)[1], x_hat, lam)
 
 
 def lasso_solve(
@@ -298,19 +278,19 @@ def lasso_solve(
         raise RangeError("gradient at x = 0 is not finite: A or y holds NaN or inf")
     step = None if lipschitz is None else 1.0 / lipschitz
     v, grad_v, r_v = x, g, r
-    # the working set: None while the solver steps on all of A, else the
-    # columns W it steps on, with A_W = 2^e A[:, W] their copy and x, v, g,
-    # grad_v restricted to them; r and r_v stay n-vectors.  A step on W adds
-    # to the anchor x_a, r_a, g_a, exact values from a pass over all of A,
-    # the correction for d = x_new - x_a in A_W's dtype, so its error scales
-    # with |A d|, not with r.  full_residual is the residual of the last
-    # check on all of A, w_residual that of the last check on W
+    # the working set: None until the first check after k = 0 copies it,
+    # then the columns W the solver steps on, with A_W = 2^e A[:, W] their
+    # copy and x, v, g, grad_v restricted to them; r and r_v stay
+    # n-vectors.  A step on W adds to the anchor x_a, r_a, g_a, exact
+    # values from a pass over all of A, the correction for d = x_new - x_a
+    # in A_W's dtype, so its error scales with |A d|, not with r.
+    # full_residual is the residual of the last check on all of A,
+    # w_residual that of the last check on W
     cols = A_W = None
 
     for k in range(max_iter + 1):
         if k % _KKT_EVERY == 0 or k == max_iter:
-            # -g is A^T (y - A x) bit for bit: negation is exact
-            residual = _kkt_violation(-g, x, lam)
+            residual = _kkt_violation(g, x, lam)
             if cols is not None:
                 # a check on W that is not below the last one may be reading
                 # the corrections' float32 error: a new anchor clears it
@@ -322,15 +302,15 @@ def lasso_solve(
                 x_full = np.zeros(N)
                 x_full[cols] = x
                 r_full, g_full = _residual_and_gradient(A, x_full, y)
-                residual = full_residual = _kkt_violation(-g_full, x_full, lam)
+                residual = full_residual = _kkt_violation(g_full, x_full, lam)
                 if residual <= tol or k == max_iter:
                     x, r = x_full, r_full
                     break
                 outside = np.abs(g_full) > lam
                 outside[cols] = False
                 if outside.any():
-                    # violators off W: back to all of A, momentum restarted
-                    # at x and the old copy dropped before the new one
+                    # violators off W: momentum restarts at x, and the old
+                    # copy is dropped before the check below makes the new one
                     cols, A_W, x, g, r = None, None, x_full, g_full, r_full
                     v, grad_v, r_v = x, g, r
                 else:
@@ -343,10 +323,9 @@ def lasso_solve(
                 full_residual = residual
                 # W takes every column where v is nonzero, as r_v is A v - y
                 cols = _working_set(x, v != 0.0, g, lam)
-                if cols is not None:
-                    A_W, e = _columns(A, cols)
-                    x, v, g, grad_v = x[cols], v[cols], g[cols], grad_v[cols]
-                    x_a, r_a, g_a, w_residual = x, r, g, math.inf
+                A_W, e = _columns(A, cols)
+                x, v, g, grad_v = x[cols], v[cols], g[cols], grad_v[cols]
+                x_a, r_a, g_a, w_residual = x, r, g, math.inf
         if step is None:
             # the first step, 1/rho from the curvature along g0, scaled so
             # that a tiny g0 cannot underflow: g0 != 0 lies in range(A^T),

@@ -20,7 +20,7 @@ from amppath import (
     soft_threshold,
 )
 from amppath import lasso
-from amppath.lasso import _BLOCK_BYTES, _KKT_EVERY, _NEAR_MARGIN, _columns, _correction, _residual_and_gradient
+from amppath.lasso import _BLOCK_BYTES, _KKT_EVERY, _columns, _correction, _residual_and_gradient
 
 from _oracles import coordinate_descent_lasso
 
@@ -378,28 +378,43 @@ class TestLassoSolve:
 
     def test_working_set_widens_to_the_violators(self, monkeypatch):
         # the second instance of the benchmark's fista-sweep at seed 201: at
-        # lambda 0.15 the near set enters W at step 40, the support then
-        # grows past it, so a check on all of A finds violators off W, the
-        # steps go back to all of A and that check enters the near set there
+        # lambda 0.15 the support grows past the W the solver first copies,
+        # so a check on all of A finds violators off W, and the same check
+        # copies the near set at x, which holds every violator of that pass
         config = InstanceConfig(1000, 2000, SparseSpec(100, 1.0, random_sign=False), noise_variance=0.7, seed=805)
         inst = sample_instance(config)
-        widths = []
+        events = []
+
+        def recording_passes(A, x, y):
+            r, g = _residual_and_gradient(A, x, y)
+            if A is inst.A:
+                events.append(("full", g))
+            return r, g
 
         def recording_columns(A, cols):
-            widths.append(cols.size)
+            events.append(("copy", cols))
             return _columns(A, cols)
 
+        monkeypatch.setattr(lasso, "_residual_and_gradient", recording_passes)
         monkeypatch.setattr(lasso, "_columns", recording_columns)
         result = lasso_solve(inst, 0.15, tol=1e-6, max_iter=5000, lipschitz=power_iteration_sq_norm(inst.A))
         assert result.converged
-        assert len(widths) == 2
+        copies = [i for i, event in enumerate(events) if event[0] == "copy"]
+        assert len(copies) >= 2
+        for before, after in zip(copies, copies[1:]):
+            # the pass just before a new copy is the check that found violators
+            kind, g_full = events[after - 1]
+            assert kind == "full"
+            violators = np.flatnonzero(np.abs(g_full) > 0.15)
+            assert not np.all(np.isin(violators, events[before][1]))
+            assert np.all(np.isin(violators, events[after][1]))
         assert result.kkt_residual == kkt_residual(inst, 0.15, result.x_hat)
 
     def test_working_set_enters_on_the_near_set(self, monkeypatch):
         # the first instance of the benchmark's fista-sweep at seed 1: at
-        # lambda 0.3 the support and the columns whose |g_j| is near lambda
-        # are 916 of the 2000 columns after 10 steps, so W is entered there,
-        # not 60-140 steps later when the support holds still
+        # lambda 0.3 W is entered at the first check, after 10 steps, on the
+        # support and the columns whose |g_j| is near lambda (916 of the
+        # 2000 columns), not 60-140 steps later when the support holds still
         config = InstanceConfig(1000, 2000, SparseSpec(100, 1.0, random_sign=False), noise_variance=0.7, seed=4)
         inst = sample_instance(config)
         lipschitz = power_iteration_sq_norm(inst.A)  # Lanczos passes before the counting starts
@@ -423,48 +438,21 @@ class TestLassoSolve:
         assert np.all(np.isin(np.flatnonzero(result.x_hat), copies[-1][1]))
         assert result.kkt_residual == kkt_residual(inst, 0.3, result.x_hat)
 
-    def test_working_set_falls_back_to_the_violators(self, monkeypatch):
-        # at low lambda the near set holds more than half the columns at
-        # every check up to the copy (more than 60 of 120 here), so W is
-        # entered on the support, the columns where v is nonzero and those
-        # with |g_j| > lambda
-        inst = make_instance(seed=0)
-        events, working_set = [], lasso._working_set
-
-        def recording_working_set(x, keep, g, lam):
-            base = (x != 0.0) | keep
-            near = np.count_nonzero(base | (np.abs(g) > _NEAR_MARGIN * lam))
-            events.append(("check", near, np.flatnonzero(base | (np.abs(g) > lam))))
-            return working_set(x, keep, g, lam)
-
-        def recording_columns(A, cols):
-            events.append(("copy", cols.size, cols))
-            return _columns(A, cols)
-
-        monkeypatch.setattr(lasso, "_working_set", recording_working_set)
-        monkeypatch.setattr(lasso, "_columns", recording_columns)
-        result = lasso_solve(inst, 0.01, tol=1e-6, max_iter=20000)
-        assert result.converged
-        first = events.index(next(event for event in events if event[0] == "copy"))
-        assert first > 0 and all(2 * size > 120 for _, size, _ in events[:first])
-        assert 2 * events[first][1] <= 120
-        np.testing.assert_array_equal(events[first][2], events[first - 1][2])
-        assert result.kkt_residual == kkt_residual(inst, 0.01, result.x_hat)
-
     def test_stalled_check_on_the_working_set_pays_a_full_pass(self, monkeypatch):
         # a step on W adds a float32 correction to the anchor, and its error
         # grows with the distance from it; a check on W whose residual is not
         # below the last check on W may read that error, so it pays a pass
         # over all of A, which re-anchors.  Without that rule the README
         # sweep's lambda 0.0025 row at seed 1 ran to the 20,000 cap at KKT
-        # 2.01: the step test read the error and halved the step to 1e-311
+        # 2.01: the step test read the error and halved the step to 1e-311.
+        # Here W holds all 120 columns, so a check on W is told apart by
+        # what comes before it: a step on the copy, not a pass over A
         inst = make_instance(seed=0)
-        N = inst.A.shape[1]
         events, kkt_violation = [], lasso._kkt_violation
 
         def recording_kkt(g, x, lam):
             residual = kkt_violation(g, x, lam)
-            events.append(("check", g.size, residual))
+            events.append(("check", residual))
             return residual
 
         def recording_passes(A, x, y):
@@ -472,12 +460,17 @@ class TestLassoSolve:
                 events.append(("full",))
             return _residual_and_gradient(A, x, y)
 
+        def recording_correction(A_W, e, d):
+            events.append(("step on W",))
+            return _correction(A_W, e, d)
+
         def recording_columns(A, cols):
             events.append(("copy",))
             return _columns(A, cols)
 
         monkeypatch.setattr(lasso, "_kkt_violation", recording_kkt)
         monkeypatch.setattr(lasso, "_residual_and_gradient", recording_passes)
+        monkeypatch.setattr(lasso, "_correction", recording_correction)
         monkeypatch.setattr(lasso, "_columns", recording_columns)
         result = lasso_solve(inst, 0.01, tol=1e-6, max_iter=20000)
         assert result.converged
@@ -485,11 +478,11 @@ class TestLassoSolve:
         for i, event in enumerate(events):
             if event[0] == "copy":
                 last = None
-            elif event[0] == "check" and event[1] < N:
-                if last is not None and event[2] >= last:
+            elif event[0] == "check" and events[i - 1] == ("step on W",):
+                if last is not None and event[1] >= last:
                     stalls += 1
                     assert events[i + 1] == ("full",), i
-                last = event[2]
+                last = event[1]
         assert stalls > 0
         assert result.kkt_residual == kkt_residual(inst, 0.01, result.x_hat)
 
@@ -552,27 +545,24 @@ class TestLassoSolve:
         "g, x, keep, expected",
         [
             ([0.95, -0.95, 0.95], [], [], [0, 1, 2]),
-            ([1.5, -1.5, 1.5, 0.95, -0.95, 0.95, 0.95], [], [], [0, 1, 2]),
-            ([1.5, -1.5, 1.5, 1.5, 1.5, 1.5], [], [], None),
+            ([0.95, -0.85, 0.9, 0.95], [], [], [0, 3]),
+            ([1.5, -1.5, 1.5, 0.95, -0.95, 0.95, 0.95], [], [], [0, 1, 2, 3, 4, 5, 6]),
+            ([1.5, -1.5, 1.5, 1.5, 1.5, 1.5], [], [], [0, 1, 2, 3, 4, 5]),
             ([1.5, -1.5, 1.5, 1.5, 1.5], [], [], [0, 1, 2, 3, 4]),
             ([0.95, -0.95, 0.95], [9], [8], [0, 1, 2, 8, 9]),
-            ([1.5, -1.5, 1.5, 0.95, -0.95, 0.95, 0.95], [9], [8], [0, 1, 2, 8, 9]),
+            ([1.5, -1.5, 1.5, 0.95, -0.95, 0.95, 0.95], [9], [8], [0, 1, 2, 3, 4, 5, 6, 8, 9]),
         ],
-        ids=["near-fits", "violators-fit", "neither-fits", "half-fits", "keep", "keep-violators"],
+        ids=["near-fits", "margin", "violators", "wider-than-half", "half-fits", "keep", "keep-violators"],
     )
     def test_working_set_choice(self, g, x, keep, expected):
         # N = 10 and lambda 1: the columns where x != 0, keep holds or
-        # |g_j| > 0.9, else, past 5 columns, |g_j| > 1 in place of 0.9,
-        # else None; the leading entries of g are set, the rest are 0
+        # |g_j| > 0.9, however many; the leading entries of g are set, the
+        # rest are 0
         g_full, x_full, keep_full = np.zeros(10), np.zeros(10), np.zeros(10, dtype=bool)
         g_full[: len(g)] = g
         x_full[x] = 0.3
         keep_full[keep] = True
-        cols = lasso._working_set(x_full, keep_full, g_full, 1.0)
-        if expected is None:
-            assert cols is None
-        else:
-            np.testing.assert_array_equal(cols, expected)
+        np.testing.assert_array_equal(lasso._working_set(x_full, keep_full, g_full, 1.0), expected)
 
     @pytest.mark.parametrize(
         "lam, max_iter", [(0.15, 20000), (0.15, 3), (0.15, 55), (0.0, 20000)],
