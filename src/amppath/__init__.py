@@ -1,6 +1,11 @@
 """AMP for LASSO with threshold policies, scalar state evolution, and a
 phase-transition experiment harness."""
 
+# scipy.special is imported inside the functions that evaluate it (rng's
+# ndtri, amp's ndtr, experiments' erfcx), never at module level: loading it
+# is most of a fresh process's start, and se-solve, lasso-path and
+# risk-curve, whose closed forms use math.erfc, never call it
+
 from .amp import AmpState, AmpTrace, amp_run, gaussianity_stats
 from .exceptions import (
     AmpPathError,

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .exceptions import Divergence, RangeError
 from .instances import ProblemInstance
@@ -71,6 +70,8 @@ def gaussianity_stats(v: np.ndarray) -> tuple[float, float]:
     and kstest(v, "norm", args=(mean, std)).statistic, bit for bit.
     Returns (nan, nan) for a degenerate (zero-variance) sample.
     """
+    from scipy.special import ndtr
+
     v = np.asarray(v, dtype=np.float64)
     if v.size < _GAUSSIANITY_MIN_SAMPLES:
         raise RangeError(f"need at least {_GAUSSIANITY_MIN_SAMPLES} samples, got {v.size}")

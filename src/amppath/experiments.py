@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
 from ._brent import brentq
 from .amp import amp_run
@@ -30,23 +29,29 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SWEEP_MAX_ITER = 20000
 
 
+def _curve_delta(z: float) -> float:
+    """delta on the l1 phase-transition curve at parameter z > 0."""
+    # ratio z*(Phi(z) - 1/2)/phi(z), stable for all z > 0
+    t = z * (std_normal_cdf(z) - 0.5) / std_normal_pdf(z)
+    return 1.0 / (1.0 + t)
+
+
 def _curve_point(z: float) -> tuple[float, float]:
     """(delta, rho) on the l1 phase-transition curve at parameter z > 0.
     Both coordinates decrease strictly in z; z -> 0 gives (1, 1)."""
     if z <= 0.0:
         raise RangeError(f"curve parameter must be > 0, got {z}")
-    # ratio z*(Phi(z) - 1/2)/phi(z), stable for all z > 0
-    t = z * (std_normal_cdf(z) - 0.5) / std_normal_pdf(z)
-    delta = 1.0 / (1.0 + t)
+    from scipy.special import erfcx
+
     # z*(1 - Phi(z))/phi(z) via the scaled complementary error function,
     # avoiding the 0/0 of tail-over-density at large z
     rho = 1.0 - z * _SQRT_HALF_PI * erfcx(z / math.sqrt(2.0))
-    return delta, rho
+    return _curve_delta(z), rho
 
 
 # the far end of rho_of_delta's bracket on z, and the least delta it reaches
 _Z_MAX = 37.0
-_DELTA_MIN = _curve_point(_Z_MAX)[0]
+_DELTA_MIN = _curve_delta(_Z_MAX)
 
 
 def rho_of_delta(delta: float) -> float:
@@ -54,7 +59,7 @@ def rho_of_delta(delta: float) -> float:
     parametric curve in its (monotone) delta coordinate."""
     if not _DELTA_MIN <= delta < 1.0:
         raise RangeError(f"delta must be in [{_DELTA_MIN:.6g}, 1), got {delta}")
-    z = brentq(lambda s: _curve_point(s)[0] - delta, 1e-8, _Z_MAX, xtol=1e-14)
+    z = brentq(lambda s: _curve_delta(s) - delta, 1e-8, _Z_MAX, xtol=1e-14)
     return _curve_point(z)[1]
 
 

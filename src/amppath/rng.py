@@ -13,7 +13,6 @@ Per-trial seeds for Monte Carlo grids come from a SplitMix64-style hash of
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,9 +52,13 @@ def open_uniform(gen: np.random.Generator, size) -> np.ndarray:
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """N(0,1) variates via the inverse CDF of open-interval uniforms."""
+    from scipy.special import ndtri
+
     return ndtri(open_uniform(gen, size))
 
 
 def fill_standard_normal(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Write into ``out`` the variates standard_normal(gen, out.shape) returns."""
+    from scipy.special import ndtri
+
     return ndtri(open_uniform(gen, out.shape), out=out)

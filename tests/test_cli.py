@@ -431,24 +431,54 @@ class TestErrorPaths:
         assert captured.out.startswith("lambda,beta,tau,")
 
 
-def _loaded_by_cli_import(module):
-    # whether a fresh interpreter's `import amppath.cli` loads the module
+def _loaded_modules(code):
+    # the modules a fresh interpreter holds after running code
     src = str(Path(amppath.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = f"import sys, amppath.cli; print({module!r} in sys.modules)"
+    probe = f"import sys\n{code}\nprint(' '.join(sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    return result.stdout.strip() == "True"
+    return set(result.stdout.split())
+
+
+def _scipy_loaded_by(code):
+    return sorted(m for m in _loaded_modules(code) if m.split(".")[0] == "scipy")
+
+
+def _command(args, tmp_path):
+    # code that runs one CLI call to a file and fails unless it exits 0
+    argv = [*args, "--out", str(tmp_path / "out.csv")]
+    return f"import amppath.cli\nif amppath.cli.main({argv!r}) != 0: sys.exit('command failed')"
 
 
 def test_cli_import_leaves_out_scipy_stats():
     # every CLI call pays its imports, and scipy.stats would add about 0.5 s
     # to them (measured on 2 cores), for two statistics numpy computes
-    assert not _loaded_by_cli_import("scipy.stats")
+    assert "scipy.stats" not in _loaded_modules("import amppath.cli")
 
 
 def test_cli_import_leaves_out_scipy_optimize():
     # scipy.optimize would add about 0.3 s to every CLI call (measured on
     # 2 cores) for brentq alone, which amppath._brent ports
-    assert not _loaded_by_cli_import("scipy.optimize")
+    assert "scipy.optimize" not in _loaded_modules("import amppath.cli")
+
+
+@pytest.mark.parametrize("code", ["import amppath", "import amppath.cli"])
+def test_import_leaves_out_scipy(code):
+    # scipy.special was 0.20 s of a 0.32 s `import amppath.cli` (measured on
+    # 2 cores); the functions that evaluate it import it on first use
+    assert _scipy_loaded_by(code) == []
+
+
+@pytest.mark.parametrize("name", ["se-lambda", "lasso-path", "risk-curve"])
+def test_scalar_commands_leave_out_scipy(tmp_path, name):
+    # the README's state-evolution and risk commands evaluate closed forms
+    # in math alone
+    assert _scipy_loaded_by(_command(TestPinnedOutput.DIGESTS[name][0], tmp_path)) == []
+
+
+def test_amp_run_loads_scipy_special(tmp_path):
+    # the control: a command that samples an instance does import scipy.special
+    code = _command(TestDeterminism.COMMANDS["amp-run"], tmp_path)
+    assert "scipy.special" in _scipy_loaded_by(code)
