@@ -4,7 +4,9 @@ phase-transition experiment harness."""
 # scipy.special is imported inside the functions that evaluate it (rng's
 # ndtri, amp's ndtr, experiments' erfcx), never at module level: loading it
 # is most of a fresh process's start, and se-solve, lasso-path and
-# risk-curve, whose closed forms use math.erfc, never call it
+# risk-curve, whose closed forms use math.erfc, never call it.
+# multiprocessing likewise, in the one function that forks phase-grid
+# workers: about 10 ms of a start that only that grid needs
 
 from .amp import AmpState, AmpTrace, amp_run, gaussianity_stats
 from .exceptions import (

@@ -3,12 +3,17 @@ success grids, and empirical-vs-predicted lambda sweeps.
 
 All Monte Carlo work is seeded per (cell, trial) with a SplitMix64 hash of
 the base seed and the grid indices, so results are independent of
-execution order and reproducible byte-for-byte.
+execution order and reproducible byte-for-byte. The phase grid uses this
+to run its trials in forked worker processes, one per CPU of the affinity
+mask, when the process has a single OS thread (BLAS pinned to one thread).
+Otherwise, or where fork is missing, it runs them in-process; its output
+is the same either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +92,12 @@ class PhaseGridConfig:
             raise RangeError(f"rho band must be finite, got {self.rho_band}")
         if not 0.0 < self.tol < math.inf:
             raise RangeError(f"tol must be finite and > 0, got {self.tol}")
+        # checked here, not only by the trials: a cell with k = 0 succeeds
+        # without running AMP, so a grid of such cells would not see them
+        if not 0.0 < self.gamma <= 1.0:
+            raise RangeError(f"gamma must be in (0, 1], got {self.gamma}")
+        if self.max_iter < 1:
+            raise RangeError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +126,82 @@ def _run_trial(N: int, n: int, k: int, gamma: float, max_iter: int, tol: float, 
     return 1.0 if float(np.linalg.norm(state.x - instance.x_o)) / norm_o < tol else 0.0
 
 
+def _workers() -> int:
+    """Processes the phase grid runs its trials on: one per CPU of the
+    affinity mask, or 1 where fork is missing or this process has more than
+    one OS thread. A threaded BLAS would be copied into every worker and
+    oversubscribe the cores, and fork is unsafe beside live threads."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        return 1
+    return cpus if threads == 1 else 1
+
+
+def _run_share(tasks: list[tuple], conn) -> None:
+    """A forked worker's body: send back the outcomes of its share of the
+    trials, or the error that stopped them, for the parent to raise."""
+    try:
+        result = (True, [_run_trial(*task) for task in tasks])
+    except Exception as exc:
+        result = (False, exc)
+    conn.send(result)
+    conn.close()
+
+
+def _map_trials(tasks: list[tuple]) -> list[float]:
+    """_run_trial over tasks, in task order.
+
+    With w workers, worker j >= 1 is a forked child that runs
+    tasks[j::w], and this process runs tasks[0::w] itself: a fixed share,
+    so a tracer in this process sees the same trials on every call. Every
+    child is joined before return, on error too. Children are forked, not
+    spawned: a spawned child would import numpy and scipy again on every
+    call, about 0.3 s, longer than a call of a few trials takes.
+    """
+    workers = min(_workers(), len(tasks))
+    if workers == 1:
+        return [_run_trial(*task) for task in tasks]
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    outcomes = [0.0] * len(tasks)
+    children = []
+    try:
+        for j in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_share, args=(tasks[j::workers], send), daemon=True)
+            try:
+                child.start()
+            finally:
+                # closed here so that a child's death reads as EOF
+                send.close()
+            children.append((child, recv))
+        outcomes[0::workers] = [_run_trial(*task) for task in tasks[0::workers]]
+        for j, (child, recv) in enumerate(children, start=1):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(
+                    f"phase-grid worker {j} exited with code {child.exitcode} "
+                    "before sending its trials"
+                ) from None
+            if not ok:
+                raise value
+            outcomes[j::workers] = value
+    finally:
+        for child, recv in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            recv.close()
+    return outcomes
+
+
 def phase_transition_grid(cfg: PhaseGridConfig) -> PhaseGrid:
     """Noise-free AMP recovery success over a band around the theoretical
     curve.
@@ -128,19 +215,20 @@ def phase_transition_grid(cfg: PhaseGridConfig) -> PhaseGrid:
     deltas = np.asarray(cfg.delta_grid, dtype=np.float64)
     theory = np.array([rho_of_delta(d) for d in deltas])
     rho_values = np.empty((deltas.size, cfg.rho_points))
-    success = np.empty_like(rho_values)
+    tasks = []
     for di, (delta, rho_star) in enumerate(zip(deltas, theory)):
         n = int(math.floor(delta * N))
         band = np.linspace(cfg.rho_band[0] * rho_star, cfg.rho_band[1] * rho_star, cfg.rho_points)
         rho_values[di] = band
         for ri, rho in enumerate(band):
             k = int(math.floor(rho * n))
-            hits = 0.0
-            for trial in range(cfg.trials):
-                seed = trial_seed(cfg.base_seed, di, ri, trial)
-                hits += _run_trial(N, n, k, cfg.gamma, cfg.max_iter, cfg.tol, seed)
-            success[di, ri] = hits / cfg.trials
-    return PhaseGrid(deltas, rho_values, success, theory)
+            tasks += [
+                (N, n, k, cfg.gamma, cfg.max_iter, cfg.tol, trial_seed(cfg.base_seed, di, ri, trial))
+                for trial in range(cfg.trials)
+            ]
+    # each cell's sum of 0.0/1.0 outcomes is exact in any order
+    hits = np.reshape(_map_trials(tasks), (deltas.size, cfg.rho_points, cfg.trials)).sum(axis=2)
+    return PhaseGrid(deltas, rho_values, hits / cfg.trials, theory)
 
 
 def estimate_half_success_rho(rhos, successes) -> float:

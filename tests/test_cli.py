@@ -379,6 +379,28 @@ class TestErrorPaths:
         assert "f(a) and f(b)" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--gamma", "0"], "gamma must be in (0, 1], got 0.0"),
+            (["--gamma", "nan"], "--gamma must be finite, got nan"),
+            (["--gamma", "1.5"], "gamma must be in (0, 1], got 1.5"),
+            (["--amp-iters", "0"], "max_iter must be >= 1, got 0"),
+        ],
+        ids=["gamma-zero", "gamma-nan", "gamma-above-one", "amp-iters-zero"],
+    )
+    def test_phase_checks_amp_settings_without_amp_runs(self, tmp_path, capsys, args, message):
+        # at N = 50 and delta 0.1 every cell has k = 0 and succeeds without
+        # running AMP, so only the grid's own checks can reject these
+        code, out = run(
+            tmp_path, "kzero", "phase-transition", "--big-n", "50", "--delta-min", "0.1",
+            "--delta-max", "0.1", "--delta-points", "1", "--rho-points", "1", "--trials", "1",
+            *args,
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_amp_run_checks_policy_before_sampling(self, tmp_path, monkeypatch):
         def no_sampling(config):
             raise AssertionError("instance sampled before the policy was checked")
@@ -469,6 +491,12 @@ def test_import_leaves_out_scipy(code):
     # scipy.special was 0.20 s of a 0.32 s `import amppath.cli` (measured on
     # 2 cores); the functions that evaluate it import it on first use
     assert _scipy_loaded_by(code) == []
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # only a phase grid that forks workers needs it, and it adds about 10 ms
+    # to every CLI start (measured on 2 cores)
+    assert "multiprocessing" not in _loaded_modules("import amppath.cli")
 
 
 @pytest.mark.parametrize("name", ["se-lambda", "lasso-path", "risk-curve"])

@@ -1,4 +1,11 @@
+import collections
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +14,10 @@ import amppath.experiments
 import amppath.lasso
 from amppath import (
     DimensionError,
+    Divergence,
     FixedDetection,
     InstanceConfig,
+    NonConvergence,
     PhaseGridConfig,
     RangeError,
     SEModel,
@@ -28,7 +37,9 @@ from amppath import (
     sample_instance,
     sparse_prior,
 )
+from amppath.cli import main
 from amppath.experiments import _curve_point
+from amppath.rng import trial_seed
 
 # frozen from a 40-digit evaluation of the parametric curve
 STOJNIC_DELTA_AT_1 = 0.41481965886376975393
@@ -148,6 +159,145 @@ class TestPhaseGrid:
         assert np.all((0.0 <= matrix) & (matrix <= 1.0))
 
 
+# delta 0.3 at N = 100, seed 1: of the 35 trials 14 converge, 19 hit the
+# 300-iteration cap and 2 diverge; 35 divides by neither 2 nor 3 workers
+_MIXED_GRID = PhaseGridConfig(
+    n_signal=100, delta_grid=(0.3,), rho_band=(0.2, 2.0), rho_points=5, trials=7,
+    max_iter=300, base_seed=1,
+)
+_PHASE_ARGS = ["phase-transition", "--big-n", "100", "--delta-min", "0.3", "--delta-max", "0.5",
+               "--delta-points", "2", "--rho-points", "2", "--trials", "5", "--seed", "4"]
+
+
+def _os_threads():
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+class TestForkedTrials:
+    """The phase grid's trials on 1-3 workers, forced through the private
+    worker-count helper so that the tests fan out on any host."""
+
+    def test_worker_counts_agree(self, monkeypatch):
+        stops = collections.Counter()
+
+        def counted_amp_run(*args, **kwargs):
+            try:
+                state, trace = amp_run(*args, **kwargs)
+            except Divergence:
+                stops["diverged"] += 1
+                raise
+            stops[state.stop_reason] += 1
+            return state, trace
+
+        monkeypatch.setattr(amppath.experiments, "amp_run", counted_amp_run)
+        monkeypatch.setattr(amppath.experiments, "_workers", lambda: 1)
+        serial = phase_transition_grid(_MIXED_GRID).success
+        assert stops == {"converged": 14, "max_iter": 19, "diverged": 2}
+        for workers in (2, 3):
+            monkeypatch.setattr(amppath.experiments, "_workers", lambda: workers)
+            assert np.array_equal(phase_transition_grid(_MIXED_GRID).success, serial)
+
+    def test_cli_bytes_agree(self, monkeypatch, tmp_path):
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(amppath.experiments, "_workers", lambda: workers)
+            out = tmp_path / f"workers{workers}.csv"
+            assert main([*_PHASE_ARGS, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_no_process_or_thread_outlives_a_call(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(amppath.experiments, "_workers", lambda: 3)
+        threads = _os_threads()
+        phase_transition_grid(_MIXED_GRID)
+        assert multiprocessing.active_children() == []
+        assert _os_threads() == threads
+        assert main([*_PHASE_ARGS, "--out", str(tmp_path / "grid.csv")]) == 0
+        assert multiprocessing.active_children() == []
+        assert _os_threads() == threads
+
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["own-share", "worker-1", "worker-2"])
+    def test_trial_error_reaches_caller(self, monkeypatch, failing):
+        # task 3 + failing falls in share `failing` of 3: tasks[w::3]
+        cfg = PhaseGridConfig(n_signal=100, delta_grid=(0.3,), rho_points=1, trials=6, base_seed=2)
+        bad_seed = trial_seed(cfg.base_seed, 0, 0, 3 + failing)
+        run_trial = amppath.experiments._run_trial
+
+        def failing_trial(*task):
+            if task[-1] == bad_seed:
+                raise NonConvergence(f"trial {3 + failing} failed")
+            return run_trial(*task)
+
+        monkeypatch.setattr(amppath.experiments, "_run_trial", failing_trial)
+        monkeypatch.setattr(amppath.experiments, "_workers", lambda: 3)
+        with pytest.raises(NonConvergence, match=f"trial {3 + failing} failed"):
+            phase_transition_grid(cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_death_is_reported(self, monkeypatch):
+        cfg = PhaseGridConfig(n_signal=100, delta_grid=(0.3,), rho_points=1, trials=4, base_seed=2)
+        caller = os.getpid()
+        run_trial = amppath.experiments._run_trial
+
+        def dying_trial(*task):
+            if os.getpid() != caller:
+                os._exit(7)
+            return run_trial(*task)
+
+        monkeypatch.setattr(amppath.experiments, "_run_trial", dying_trial)
+        monkeypatch.setattr(amppath.experiments, "_workers", lambda: 2)
+        with pytest.raises(ChildProcessError, match="worker 1 exited with code 7"):
+            phase_transition_grid(cfg)
+        assert multiprocessing.active_children() == []
+
+
+def test_threaded_process_runs_trials_in_process():
+    # a second OS thread, as a BLAS pool would start, keeps the grid serial
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait)
+    helper.start()
+    try:
+        assert amppath.experiments._workers() == 1
+    finally:
+        release.set()
+        helper.join(timeout=10)
+    assert not helper.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+                    or not os.path.isdir("/proc/self/task"),
+                    reason="needs two CPUs and /proc/self/task")
+def test_one_thread_process_fans_out_on_every_call():
+    # a fresh interpreter with BLAS pinned to one thread: after a real grid
+    # it is back to one OS thread, so the next grid fans out again, with
+    # this process's fixed share tasks[0::workers]. The probe's trials
+    # succeed only where they run in the calling process.
+    probe = (
+        "import os\n"
+        "import amppath.experiments as e\n"
+        "cfg = e.PhaseGridConfig(n_signal=100, delta_grid=(0.3,), rho_points=2, trials=3)\n"
+        "e.phase_transition_grid(cfg)\n"
+        "caller = os.getpid()\n"
+        "e._run_trial = lambda *task: float(os.getpid() == caller)\n"
+        "print(e._workers(), *e.phase_transition_grid(cfg).success.ravel())\n"
+    )
+    src = str(Path(amppath.experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    cpus, *success = result.stdout.split()
+    assert int(cpus) == len(os.sched_getaffinity(0))
+    workers = min(int(cpus), 6)
+    own = [sum(1 for t in range(3 * c, 3 * c + 3) if t % workers == 0) / 3 for c in range(2)]
+    assert [float(s) for s in success] == own
+    assert own != [1.0, 1.0]
+
+
 def _noisy_instance():
     return InstanceConfig(10, 20, SparseSpec(k=2), noise_variance=0.1)
 
@@ -165,9 +315,14 @@ def _noisy_instance():
         # no KKT residual below -1
         (lambda: PhaseGridConfig(tol=0.0), RangeError),
         (lambda: SweepConfig(_noisy_instance(), (0.1,), solver_tol=-1.0), RangeError),
+        (lambda: PhaseGridConfig(gamma=math.nan), RangeError),
+        (lambda: PhaseGridConfig(gamma=0.0), RangeError),
+        (lambda: PhaseGridConfig(gamma=1.5), RangeError),
+        (lambda: PhaseGridConfig(max_iter=0), RangeError),
     ],
     ids=["noise-nan", "noise-inf", "amplitude-nan", "phase-tol-nan", "rho-band-nan",
-         "sweep-tol-nan", "phase-tol-zero", "sweep-tol-negative"],
+         "sweep-tol-nan", "phase-tol-zero", "sweep-tol-negative", "phase-gamma-nan",
+         "phase-gamma-zero", "phase-gamma-above-one", "phase-max-iter-zero"],
 )
 def test_config_rejects_non_finite(build, error):
     with pytest.raises(error):
