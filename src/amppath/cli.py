@@ -225,7 +225,7 @@ def _cmd_sweep(opts, out):
         instance=_instance_config(opts),
         lambda_grid=tuple(_grid(opts, "lambda")),
         solver=opts["solver"],
-        solver_tol=opts["tol"] if opts["tol"] is not None else 1e-6,
+        solver_tol=opts["tol"] if opts["tol"] is not None else experiments.SweepConfig.solver_tol,
         amp_max_iter=opts["amp_iters"],
     )
     rows = experiments.lambda_sweep_empirical(cfg)
@@ -241,9 +241,9 @@ def _cmd_phase_transition(opts, out):
         rho_band=(opts["band_lo"], opts["band_hi"]),
         rho_points=opts["rho_points"],
         trials=opts["trials"],
-        tol=opts["tol"] if opts["tol"] is not None else 1e-2,
+        tol=opts["tol"] if opts["tol"] is not None else experiments.PhaseGridConfig.tol,
         max_iter=opts["amp_iters"],
-        gamma=opts["gamma"] if opts["gamma"] is not None else 1.0,
+        gamma=opts["gamma"] if opts["gamma"] is not None else experiments.PhaseGridConfig.gamma,
         base_seed=opts["seed"],
     )
     grid = experiments.phase_transition_grid(cfg)

@@ -96,31 +96,25 @@ class LassoResult:
 def power_iteration_sq_norm(A: np.ndarray) -> float:
     """Largest squared singular value of A, by the Lanczos method on A^T A.
 
-    The plain three-term recurrence from q = ones/sqrt(N), with no stored
-    basis: each step makes A^T (A q) in one pass over A, and the estimate
-    is the top eigenvalue theta of the tridiagonal matrix T the recurrence
-    builds.  It stops when the residual bound beta * |s_k| (s_k the last
-    entry of theta's eigenvector of T) is at most _POWER_RTOL * theta,
-    tested every _LANCZOS_CHECK_EVERY steps and whenever beta breaks down,
-    or after _LANCZOS_MAX_ITER steps.  Ritz values interlace, so theta
-    approaches the true value from below.  An all-zero A gives 0.0; a start
-    vector in the null space of A restarts once from the largest-norm row.
-    Raises RangeError when the estimate is not finite (NaN or inf in A).
-    The name predates the method and is kept as public API; lasso_solve no
-    longer calls it, and takes its first step from a Rayleigh quotient.
+    The plain three-term recurrence, with no stored basis and no restart,
+    from a fixed random start: q = u - 0.5 normalized, u the first N
+    uniforms of np.random.default_rng(0), doubles fixed by the PCG64 bit
+    stream.  A random q is almost surely not orthogonal to the top singular
+    vector, as all-ones can be (Kuczynski and Wozniakowski, SIAM J. Matrix
+    Anal. Appl. 1992).  Each step makes A^T (A q) in one pass over A, and
+    the estimate is the top eigenvalue theta of the tridiagonal matrix T the
+    recurrence builds.  It stops when the residual bound beta * |s_k| (s_k
+    the last entry of theta's eigenvector of T) is at most
+    _POWER_RTOL * theta, tested every _LANCZOS_CHECK_EVERY steps and
+    whenever beta breaks down, or after _LANCZOS_MAX_ITER steps.  Ritz
+    values interlace, so theta approaches the true value from below.  An
+    all-zero A gives 0.0.  Raises RangeError when the estimate is not
+    finite (NaN or inf in A).  The name predates the method and is kept as
+    public API; lasso_solve no longer calls it, and takes its first step
+    from a Rayleigh quotient.
     """
-    theta = _lanczos_top_eigenvalue(A, np.ones(A.shape[1]) / math.sqrt(A.shape[1]))
-    if theta == 0.0:
-        if not A.any():
-            return 0.0
-        # the start lies in the null space of A; the largest-norm row does not
-        row = A[np.argmax(np.linalg.norm(A, axis=1))]
-        theta = _lanczos_top_eigenvalue(A, row / np.linalg.norm(row))
-    return theta
-
-
-def _lanczos_top_eigenvalue(A: np.ndarray, q: np.ndarray) -> float:
-    # Lanczos on A^T A from the unit vector q; see power_iteration_sq_norm
+    q = np.random.default_rng(0).random(A.shape[1]) - 0.5
+    q /= np.linalg.norm(q)
     zero = np.zeros(A.shape[0])
     q_prev = np.zeros_like(q)
     alphas: list[float] = []
@@ -219,8 +213,8 @@ def _kkt_violation(g: np.ndarray, x: np.ndarray, lam: float) -> float:
     # the violation kkt_residual documents, from the gradient the caller
     # already holds, g = A^T (A x - y): |g_i + lam sign(x_i)| on the support
     on = x != 0.0
-    viol_on = np.max(np.abs(g[on] + lam * np.sign(x[on]))) if np.any(on) else 0.0
-    viol_off = np.max(np.maximum(np.abs(g[~on]) - lam, 0.0)) if np.any(~on) else 0.0
+    viol_on = np.max(np.abs(g[on] + lam * np.sign(x[on])), initial=0.0)
+    viol_off = np.max(np.abs(g[~on]) - lam, initial=0.0)
     # at lam = 0 there is no scale to divide by: the violation is max |g_i|
     return float(max(viol_on, viol_off)) / (lam if lam > 0.0 else 1.0)
 
@@ -278,8 +272,9 @@ def lasso_solve(
         raise RangeError("gradient at x = 0 is not finite: A or y holds NaN or inf")
     step = None if lipschitz is None else 1.0 / lipschitz
     v, grad_v, r_v = x, g, r
-    # the working set: None until the first check after k = 0 copies it,
-    # then the columns W the solver steps on, with A_W = 2^e A[:, W] their
+    # the working set: None while the steps are on all of A, before the
+    # first check after k = 0 and after a check on all of A that drops W;
+    # else the columns W the solver steps on, with A_W = 2^e A[:, W] their
     # copy and x, v, g, grad_v restricted to them; r and r_v stay
     # n-vectors.  A step on W adds to the anchor x_a, r_a, g_a, exact
     # values from a pass over all of A, the correction for d = x_new - x_a
@@ -295,29 +290,24 @@ def lasso_solve(
                 # a check on W that is not below the last one may be reading
                 # the corrections' float32 error: a new anchor clears it
                 stalled, w_residual = residual >= w_residual, residual
-            if cols is not None and (
-                residual <= max(tol, _RECHECK_DROP * full_residual) or stalled or k == max_iter
-            ):
-                # check x on all of A
-                x_full = np.zeros(N)
-                x_full[cols] = x
-                r_full, g_full = _residual_and_gradient(A, x_full, y)
-                residual = full_residual = _kkt_violation(g_full, x_full, lam)
-                if residual <= tol or k == max_iter:
-                    x, r = x_full, r_full
-                    break
-                outside = np.abs(g_full) > lam
-                outside[cols] = False
-                if outside.any():
-                    # violators off W: momentum restarts at x, and the old
-                    # copy is dropped before the check below makes the new one
-                    cols, A_W, x, g, r = None, None, x_full, g_full, r_full
-                    v, grad_v, r_v = x, g, r
-                else:
-                    # W holds: the steps go on from this pass's exact values
-                    x_a, r_a, g_a = x, r_full, g_full[cols]
-                    r, g = r_a, g_a
-            elif residual <= tol or k == max_iter:
+                if residual <= max(tol, _RECHECK_DROP * full_residual) or stalled or k == max_iter:
+                    # check x on all of A
+                    x_full = np.zeros(N)
+                    x_full[cols] = x
+                    r_full, g_full = _residual_and_gradient(A, x_full, y)
+                    residual = full_residual = _kkt_violation(g_full, x_full, lam)
+                    outside = np.abs(g_full) > lam
+                    outside[cols] = False
+                    if residual <= tol or k == max_iter or outside.any():
+                        # the solve ends, or violators off W restart momentum at
+                        # x and the old copy is dropped before the new one is made
+                        cols, A_W, x, g, r = None, None, x_full, g_full, r_full
+                        v, grad_v, r_v = x, g, r
+                    else:
+                        # W holds: the steps go on from this pass's exact values
+                        x_a, r_a, g_a = x, r_full, g_full[cols]
+                        r, g = r_a, g_a
+            if cols is None and (residual <= tol or k == max_iter):
                 break
             if cols is None and k > 0:
                 full_residual = residual

@@ -114,8 +114,6 @@ def solve_sigma_for_beta(model: SEModel, beta: float, sigma_sq0: float | None = 
     NonConvergence when the map has no fixed point (beta below the
     contraction threshold) or the iteration cap is exceeded.
     """
-    if not 0.0 <= beta < math.inf:
-        raise RangeError(f"beta must be finite and >= 0, got {beta}")
     params = PsiParams(model.delta, model.sigma_w_sq, model.prior, beta)
     g = lambda s: psi_map(s, params)
     if sigma_sq0 is None:

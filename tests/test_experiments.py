@@ -386,10 +386,12 @@ class TestLambdaSweep:
     @pytest.mark.parametrize("solver", ["fista", "amp"])
     def test_sweep_runs_no_lanczos(self, monkeypatch, solver):
         # FISTA takes its first step from a Rayleigh quotient, AMP needs none
-        def no_lanczos(A, q):
+        def no_lanczos(A):
             raise AssertionError(f"Lanczos in a {solver} sweep")
 
-        monkeypatch.setattr(amppath.lasso, "_lanczos_top_eigenvalue", no_lanczos)
+        # amppath re-exports the function, so its name there is patched too
+        for owner in (amppath, amppath.lasso):
+            monkeypatch.setattr(owner, "power_iteration_sq_norm", no_lanczos)
         cfg = SweepConfig(
             instance=InstanceConfig(100, 200, SparseSpec(k=10), noise_variance=0.2, seed=0),
             lambda_grid=(1.0,),

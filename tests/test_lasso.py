@@ -132,13 +132,31 @@ class TestPowerIteration:
         assert power_iteration_sq_norm(np.zeros((4, 6))) == 0.0
 
     def test_start_vector_in_null_space(self):
-        # the all-ones start is annihilated by A; the top value is still 2
         A = np.array([[1.0, -1.0]])
         assert power_iteration_sq_norm(A) == pytest.approx(2.0, rel=1e-12)
         inst = ProblemInstance(A=A, x_o=np.zeros(2), w=np.zeros(1), y=np.array([3.0]), config=None)
         result = lasso_solve(inst, 0.1, tol=1e-10)
         assert result.converged
         assert kkt_residual(inst, 0.1, result.x_hat) <= 1e-10
+
+    def test_start_orthogonal_to_top_singular_vector(self):
+        # all-ones is orthogonal to the top right singular vector (1, -1, 0)
+        # here: a recurrence from it stays in span{(1, 1, 0), (0, 0, 1)} and
+        # stops at 1, the top value there
+        A = np.array([[2.0, -2.0, 0.0], [0.0, 0.0, 1.0]])
+        assert power_iteration_sq_norm(A) == pytest.approx(8.0, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_small_integer_matrices(self, n, N, data):
+        # small integer entries give repeated, clustered and zero singular
+        # values, and the zero rows and columns give null spaces
+        entries = st.lists(st.integers(-3, 3), min_size=n * N, max_size=n * N)
+        A = np.array(data.draw(entries), dtype=float).reshape(n, N)
+        A[data.draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+        A[:, data.draw(st.lists(st.integers(0, N - 1), max_size=N))] = 0.0
+        exact = np.linalg.svd(A, compute_uv=False)[0] ** 2
+        assert power_iteration_sq_norm(A) == pytest.approx(exact, rel=1e-12)
 
 
 class TestLassoSolve:

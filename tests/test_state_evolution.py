@@ -91,6 +91,11 @@ class TestSolveSigma:
         s = sigma_hat**2
         assert abs(psi_map(s, params) - s) <= 1e-12 * max(1.0, s)
 
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+    def test_rejects_beta_out_of_range(self, golden_model, beta):
+        with pytest.raises(RangeError, match=r"beta must be finite and >= 0"):
+            solve_sigma_for_beta(golden_model, beta)
+
     def test_nonconvergence_below_contraction(self):
         # at beta = 0 the map has slope 1/delta > 1 and no fixed point
         model = SEModel(0.5, 0.2, point_mass_at_zero())
