@@ -53,7 +53,8 @@ _OPTIONS = {
     "fixed_sign": (_bool, False, "all nonzero entries positive instead of random signs"),
     "amp_iters": (int, 500, "AMP iteration cap"),
     "conv_tol": (float, 1e-10, "AMP relative-change stopping tolerance"),
-    "tol": (float, None, "solver/success tolerance (command-specific)"),
+    "tol": (float, None, "sweep: FISTA's KKT tolerance (--solver amp ignores it); "
+            "phase-transition: relative-error bound of a success"),
     "solver": (str, "fista", "sweep solver: fista or amp"),
     "policy": (str, "fixed-detection", "amp threshold policy"),
     "sigma": (float, 1.0, "noise level for the risk curve"),
@@ -308,7 +309,3 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .priors import Prior
-from .rng import fill_standard_normal, open_uniform, standard_normal, substreams
+from .rng import open_uniform, standard_normal, substreams
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def sample_instance(cfg: InstanceConfig) -> ProblemInstance:
     """
     matrix_gen, signal_gen, noise_gen = substreams(cfg.seed, 3)
     n, N = cfg.n_rows, cfg.n_cols
-    A = fill_standard_normal(matrix_gen, _aligned_empty((n, N)))
+    A = standard_normal(matrix_gen, (n, N), out=_aligned_empty((n, N)))
     A /= np.sqrt(n)
     x_o = _draw_signal(cfg, signal_gen)
     if cfg.noise_variance > 0.0:

@@ -50,15 +50,9 @@ def open_uniform(gen: np.random.Generator, size) -> np.ndarray:
     return gen.random(size) + 2.0**-54
 
 
-def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
-    """N(0,1) variates via the inverse CDF of open-interval uniforms."""
+def standard_normal(gen: np.random.Generator, size, out: np.ndarray | None = None) -> np.ndarray:
+    """N(0,1) variates via the inverse CDF of open-interval uniforms,
+    written into ``out`` when it is given."""
     from scipy.special import ndtri
 
-    return ndtri(open_uniform(gen, size))
-
-
-def fill_standard_normal(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the variates standard_normal(gen, out.shape) returns."""
-    from scipy.special import ndtri
-
-    return ndtri(open_uniform(gen, out.shape), out=out)
+    return ndtri(open_uniform(gen, size), out=out)

@@ -106,35 +106,29 @@ def _fixed_point(g, s0: float) -> float:
     raise NonConvergence(f"no fixed point after {_MAX_FP_ITERS} map evaluations")
 
 
-def solve_sigma_for_beta(model: SEModel, beta: float, sigma_sq0: float | None = None) -> float:
+def solve_sigma_for_beta(model: SEModel, beta: float) -> float:
     """Effective-noise level sigma_hat at a fixed false-alarm ratio beta.
 
-    Returns the unique sigma_hat with Psi(sigma_hat^2) = sigma_hat^2; the
-    result is independent of the starting point sigma_sq0.  Raises
-    NonConvergence when the map has no fixed point (beta below the
-    contraction threshold) or the iteration cap is exceeded.
+    Returns the unique sigma_hat with Psi(sigma_hat^2) = sigma_hat^2,
+    iterating from sigma_w^2 + E[X^2]/delta.  Raises NonConvergence when
+    the map has no fixed point (beta below the contraction threshold) or
+    the iteration cap is exceeded.
     """
     params = PsiParams(model.delta, model.sigma_w_sq, model.prior, beta)
     g = lambda s: psi_map(s, params)
-    if sigma_sq0 is None:
-        sigma_sq0 = model.sigma_w_sq + model.prior.second_moment / model.delta
-    s = _fixed_point(g, sigma_sq0)
+    s = _fixed_point(g, model.sigma_w_sq + model.prior.second_moment / model.delta)
     if abs(g(s) - s) > 1e-12 * max(1.0, s):
         raise NonConvergence("fixed-point residual above tolerance")
     return math.sqrt(s)
 
 
-def _se_point(model: SEModel, sigma_hat: float, beta: float, tau: float) -> SEPoint:
-    det = detection_prob(model.prior, sigma_hat, tau)
-    gamma = det / model.delta
-    lam = tau * (1.0 - gamma)
-    mse = risk(model.prior, sigma_hat, tau)
-    return SEPoint(sigma_hat, beta, tau, lam, gamma, mse, det)
-
-
 def _point_at_beta(model: SEModel, beta: float) -> SEPoint:
     sigma_hat = solve_sigma_for_beta(model, beta)
-    return _se_point(model, sigma_hat, beta, beta * sigma_hat)
+    tau = beta * sigma_hat
+    det = detection_prob(model.prior, sigma_hat, tau)
+    gamma = det / model.delta
+    mse = risk(model.prior, sigma_hat, tau)
+    return SEPoint(sigma_hat, beta, tau, tau * (1.0 - gamma), gamma, mse, det)
 
 
 def lambda_of_beta(model: SEModel, beta: float) -> SEPoint:

@@ -13,6 +13,7 @@ from amppath import (
     InstanceConfig,
     PhaseGridConfig,
     Prior,
+    PsiParams,
     SEModel,
     amp_run,
     calibrate_gamma,
@@ -25,6 +26,7 @@ from amppath import (
     parse_prior,
     phase_transition_grid,
     point_mass_at_zero,
+    psi_map,
     risk,
     risk_derivative,
     sample_instance,
@@ -32,6 +34,7 @@ from amppath import (
     solve_sigma_for_beta,
 )
 from amppath.cli import main as cli_main
+from amppath.state_evolution import _fixed_point
 
 from _oracles import mc_risk, mc_risk_derivative
 
@@ -138,8 +141,12 @@ def test_criterion_03_fixed_point_uniqueness():
             assert gap <= 1e-8
             worst_cal = max(worst_cal, gap)
 
+            # the variance iteration from below, from the solver's own start
+            # and from above reaches the one point solve_sigma_for_beta returns
+            params = PsiParams(model.delta, model.sigma_w_sq, model.prior, a.beta)
             inits = (1e-6, model.prior.second_moment / model.delta + model.sigma_w_sq, 1e6)
-            sols = [solve_sigma_for_beta(model, a.beta, s0) for s0 in inits]
+            sols = [math.sqrt(_fixed_point(lambda s: psi_map(s, params), s0)) for s0 in inits]
+            sols.append(solve_sigma_for_beta(model, a.beta))
             spread = max(sols) - min(sols)
             assert spread <= 1e-10
             worst_solve = max(worst_solve, spread)

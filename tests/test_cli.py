@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import amppath.cli
+from amppath import SEModel, beta_of_lambda, parse_prior, sample_instance
 from amppath.cli import main
 
 
@@ -251,7 +252,112 @@ class TestConfigFile:
         assert "--delta must be finite" in capsys.readouterr().err
 
 
+class TestFixedSign:
+    # a short AMP run whose trace depends on the signs of the signal
+    ARGS = ["amp-run", "--n", "60", "--big-n", "120", "--k", "12", "--gamma", "0.3",
+            "--amp-iters", "3", "--seed", "2"]
+
+    def output(self, tmp_path, name, *args):
+        code, out = run(tmp_path, name, *self.ARGS, *args)
+        assert code == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("text", ["true", "1", "yes", "ON"])
+    def test_true_spellings(self, tmp_path, text):
+        positive = self.output(tmp_path, "pos", "--fixed-sign", text)
+        assert positive != self.output(tmp_path, "default")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fixed-sign = {text}\n")
+        assert self.output(tmp_path, "file", "--config", str(cfg)) == positive
+
+    @pytest.mark.parametrize("text", ["false", "0", "no", "Off"])
+    def test_false_spellings(self, tmp_path, text):
+        signed = self.output(tmp_path, "default")
+        assert self.output(tmp_path, "neg", "--fixed-sign", text) == signed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fixed_sign = {text}\n")
+        assert self.output(tmp_path, "file", "--config", str(cfg)) == signed
+
+    def test_other_word_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGS, "--fixed-sign", "maybe"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--fixed-sign" in err and "'maybe'" in err
+
+    def test_other_word_in_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fixed-sign = maybe\n")
+        code, out = run(tmp_path, "maybe", *self.ARGS, "--config", str(cfg))
+        assert code == 2
+        assert "not a boolean: 'maybe'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPriorSignal:
+    # without --k, amp-run and sweep draw the signal from --prior
+    PRIOR = "0.85:0,0.15:1"
+
+    def test_amp_run(self, tmp_path, monkeypatch):
+        drawn = []
+
+        def recorded(config):
+            drawn.append(sample_instance(config))
+            return drawn[-1]
+
+        monkeypatch.setattr(amppath.cli, "sample_instance", recorded)
+        code, out = run(
+            tmp_path, "prior", "amp-run", "--n", "100", "--big-n", "200", "--prior", self.PRIOR,
+            "--gamma", "0.3", "--amp-iters", "4", "--conv-tol", "0", "--seed", "5",
+        )
+        assert code == 0
+        assert len(read_table(out)[1]) == 4
+        (instance,) = drawn
+        assert instance.config.signal == parse_prior(self.PRIOR)
+        assert set(np.unique(instance.x_o)) == {0.0, 1.0}
+
+    def test_sweep(self, tmp_path):
+        code, out = run(
+            tmp_path, "prior", "sweep", "--n", "100", "--big-n", "200", "--prior", self.PRIOR,
+            "--lambda-min", "0.2", "--lambda-max", "0.4", "--lambda-points", "2",
+        )
+        assert code == 0
+        model = SEModel(0.5, 0.2, parse_prior(self.PRIOR))
+        rows = read_table(out)[1]
+        assert [float(r["se_mse"]) for r in rows] == [
+            beta_of_lambda(model, lam).mse for lam in (0.2, 0.4)
+        ]
+        assert all(r["converged"] == "1" for r in rows)
+
+
 class TestErrorPaths:
+    def test_unknown_policy(self, tmp_path, capsys):
+        code, out = run(
+            tmp_path, "policy", "amp-run", "--n", "100", "--big-n", "200", "--k", "10",
+            "--policy", "bogus", "--gamma", "0.3",
+        )
+        assert code == 2
+        assert "unknown policy 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["sweep", "--n", "50", "--big-n", "100", "--k", "5", "--lambda-points", "2",
+              "--solver", "bogus"], "unknown solver 'bogus'"),
+            (["phase-transition", "--big-n", "50", "--delta-points", "1", "--trials", "0"],
+             "need at least one trial and one rho point"),
+            (["phase-transition", "--big-n", "50", "--delta-points", "1", "--rho-points", "0"],
+             "need at least one trial and one rho point"),
+        ],
+        ids=["sweep-solver", "phase-trials", "phase-rho-points"],
+    )
+    def test_experiment_config_checks(self, tmp_path, capsys, args, message):
+        code, out = run(tmp_path, "config", *args)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_prior_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "bad", "se-solve", "--prior", "0.5:0,0.9:1", "--beta", "1.5")
         assert code == 2

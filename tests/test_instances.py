@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import amppath.instances
 from amppath import (
     DimensionError,
     InstanceConfig,
@@ -85,6 +86,21 @@ class TestSampling:
         assert A.ctypes.data % 64 == 0 and A.flags.c_contiguous and A.shape == shape
         expected = standard_normal(substreams(11, 3)[0], shape) / np.sqrt(shape[0])
         assert A.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("noise, draws", [(0.0, 1), (0.3, 2)], ids=["noise-free", "noisy"])
+    def test_one_gaussian_sampler(self, monkeypatch, noise, draws):
+        # the matrix and the noise both come through rng.standard_normal, so
+        # a wrapper of that one function sees every Gaussian draw
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(amppath.instances, "standard_normal", counted)
+        inst = sample_instance(sparse_cfg(seed=4, noise=noise, n=30, N=60))
+        assert len(calls) == draws and calls[0] == (30, 60)
+        assert inst.A.ctypes.data % 64 == 0
 
     def test_column_norm_concentration(self):
         n, N = 200, 300

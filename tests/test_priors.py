@@ -114,6 +114,20 @@ class TestPriorType:
         with pytest.raises(ValueError):
             Prior(((0.0, 1.5), (1.0, -0.5)))
 
+    def test_needs_an_atom(self):
+        with pytest.raises(ValueError, match="at least one atom"):
+            Prior(())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match="atom value must be finite"):
+            Prior(((0.0, 0.5), (value, 0.5)))
+
+    @pytest.mark.parametrize("weights", [(0.0, 0.0), (math.nan, 1.0)], ids=["zero", "nan"])
+    def test_from_pairs_needs_positive_finite_sum(self, weights):
+        with pytest.raises(ValueError, match="positive finite sum"):
+            Prior.from_pairs(zip((0.0, 1.0), weights))
+
     def test_moments(self):
         p = Prior(((0.0, 0.9), (2.0, 0.05), (-2.0, 0.05)))
         assert p.second_moment == pytest.approx(0.4)
@@ -125,6 +139,11 @@ class TestPriorType:
         assert p.second_moment == pytest.approx(0.1)
         one_sided = sparse_prior(0.1, 1.0, symmetric=False)
         assert one_sided.nonzero_prob == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, math.nan])
+    def test_sparse_prior_eps_range(self, eps):
+        with pytest.raises(RangeError, match="eps must be in"):
+            sparse_prior(eps)
 
 
 class TestParsePrior:
@@ -141,6 +160,14 @@ class TestParsePrior:
     def test_bad_token(self):
         with pytest.raises(ValueError):
             parse_prior("0.5;0,0.5;1")
+
+    @pytest.mark.parametrize("text", ["", " , ,"])
+    def test_empty_specification(self, text):
+        with pytest.raises(ValueError, match="empty prior specification"):
+            parse_prior(text)
+
+    def test_trailing_comma_accepted(self):
+        assert parse_prior("0.8:0,0.2:1,") == parse_prior("0.8:0,0.2:1")
 
 
 class TestAtomRisk:
@@ -277,6 +304,15 @@ class TestPsiMap:
         kwargs = {"delta": 0.5, "sigma_w_sq": 0.2, "prior": sparse_prior(0.1), "beta": 1.5}
         with pytest.raises(RangeError):
             PsiParams(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("delta", [0.0, 1.5, math.nan])
+    def test_delta_range(self, delta):
+        with pytest.raises(RangeError, match="delta must be in"):
+            PsiParams(delta, 0.2, sparse_prior(0.1), 1.5)
+
+    def test_zero_variance_rejected(self):
+        with pytest.raises(RangeError, match="sigma_sq must be > 0"):
+            psi_map(0.0, self._params(beta=1.5))
 
 
 class TestMonteCarloSweep:

@@ -51,7 +51,7 @@ PARAMETERS = {
     "lasso_solve": ["instance", "lam", "tol", "max_iter", "lipschitz"],
     "amp_run": ["instance", "policy", "max_iter", "conv_tol", "trace"],
     "kkt_residual": ["instance", "lam", "x_hat"],
-    "solve_sigma_for_beta": ["model", "beta", "sigma_sq0"],
+    "solve_sigma_for_beta": ["model", "beta"],
     "interpolate_display_grid": ["grid"],
 }
 

@@ -79,10 +79,15 @@ class TestSolveSigma:
         assert sigma_hat**2 == pytest.approx(expected, abs=1e-8)
 
     def test_initialization_independence(self, golden_model):
+        # the variance iteration reaches the point solve_sigma_for_beta
+        # returns from below, from the solver's own start and from above
+        params = PsiParams(0.5, 0.2, golden_model.prior, GOLDEN_BETA)
+        g = lambda s: psi_map(s, params)
         sols = [
-            solve_sigma_for_beta(golden_model, GOLDEN_BETA, s0)
+            math.sqrt(se._fixed_point(g, s0))
             for s0 in (1e-6, golden_model.prior.second_moment / 0.5, 1e6)
         ]
+        sols.append(solve_sigma_for_beta(golden_model, GOLDEN_BETA))
         assert max(sols) - min(sols) <= 1e-10
 
     def test_residual_contract(self, golden_model):
@@ -109,6 +114,15 @@ class TestSolveSigma:
         model = SEModel(0.5, 1e300, golden_prior)
         with pytest.raises(NonConvergence, match="diverged"):
             solve_sigma_for_beta(model, 1.5)
+
+    def test_residual_check_below_contraction_at_tiny_variance(self):
+        # beta 0.5 is below the contraction threshold, so there is no fixed
+        # point; the iteration starts near 1e-13, where a step under the
+        # absolute tolerance ends it, and only the residual check is left
+        # to see that sigma^2 is not a fixed point
+        model = SEModel(0.01, 1e-30, sparse_prior(1e-5, 1e-5, symmetric=False))
+        with pytest.raises(NonConvergence, match="residual above tolerance"):
+            solve_sigma_for_beta(model, 0.5)
 
 
 class TestLambdaOfBeta:
@@ -284,6 +298,11 @@ class TestInnerTauSolve:
         tau = solve_tau_for_detection(prior, 1e-3, 0.2)
         assert tau > 1.9
         assert detection_prob(prior, 1e-3, tau) == pytest.approx(0.2, abs=1e-9)
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, math.nan])
+    def test_rejects_target_outside_open_interval(self, golden_prior, target):
+        with pytest.raises(RangeError, match="detection target must be in"):
+            solve_tau_for_detection(golden_prior, 0.7, target)
 
 
 class TestModelValidation:
