@@ -12,12 +12,10 @@ from .amp import AmpState, AmpTrace, amp_run, gaussianity_stats
 from .exceptions import (
     AmpPathError,
     BracketFailure,
-    DimensionError,
     Divergence,
     NegativeLambda,
     NonConvergence,
     RangeError,
-    RankError,
 )
 from .experiments import (
     PhaseGrid,
@@ -45,12 +43,10 @@ from .policies import (
     FixedThreshold,
     ThresholdPolicy,
     fixed_detection_tau,
-    fixed_false_alarm_tau,
     solve_tau_for_detection,
 )
 from .priors import (
     Prior,
-    PsiParams,
     atom_risk,
     detection_prob,
     parse_prior,

@@ -25,17 +25,10 @@ class BracketFailure(SolverError):
     """A root could not be bracketed inside the search interval."""
 
 
-class DimensionError(ConfigError):
-    """Mismatched or impossible array dimensions."""
-
-
-class RankError(ConfigError):
-    """Requested order statistic lies outside the vector length."""
-
-
 class Divergence(SolverError):
     """Iterates blew up (for AMP: unstable above the phase transition)."""
 
 
 class RangeError(ConfigError):
-    """Scalar argument outside its admissible interval."""
+    """Argument outside its admissible range: a scalar, an order statistic or
+    an array shape."""

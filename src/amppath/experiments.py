@@ -221,7 +221,11 @@ def phase_transition_grid(cfg: PhaseGridConfig) -> PhaseGrid:
         band = np.linspace(cfg.rho_band[0] * rho_star, cfg.rho_band[1] * rho_star, cfg.rho_points)
         rho_values[di] = band
         for ri, rho in enumerate(band):
-            k = int(math.floor(rho * n))
+            # checked before any trial runs: an overflowing rho * n has no floor
+            k = float(rho) * n
+            if not 0.0 <= k < N + 1:
+                raise RangeError(f"sparsity rho * n = {k:.6g} outside [0, {N}]")
+            k = math.floor(k)
             tasks += [
                 (N, n, k, cfg.gamma, cfg.max_iter, cfg.tol, trial_seed(cfg.base_seed, di, ri, trial))
                 for trial in range(cfg.trials)

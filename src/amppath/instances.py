@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .exceptions import RangeError
 from .priors import Prior
 from .rng import open_uniform, standard_normal, substreams
 
@@ -40,16 +40,16 @@ class InstanceConfig:
 
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
-            raise DimensionError(f"need positive dimensions, got {self.n_rows}x{self.n_cols}")
+            raise RangeError(f"need positive dimensions, got {self.n_rows}x{self.n_cols}")
         if self.n_rows > self.n_cols:
             warnings.warn("n_rows > n_cols: not the undersampled regime", stacklevel=3)
         if isinstance(self.signal, SparseSpec):
             if not 0 <= self.signal.k <= self.n_cols:
-                raise DimensionError(f"sparsity {self.signal.k} outside [0, {self.n_cols}]")
+                raise RangeError(f"sparsity {self.signal.k} outside [0, {self.n_cols}]")
             if not math.isfinite(self.signal.amplitude):
-                raise DimensionError(f"amplitude must be finite, got {self.signal.amplitude}")
+                raise RangeError(f"amplitude must be finite, got {self.signal.amplitude}")
         if not 0.0 <= self.noise_variance < math.inf:
-            raise DimensionError(f"need finite noise variance >= 0, got {self.noise_variance}")
+            raise RangeError(f"need finite noise variance >= 0, got {self.noise_variance}")
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,9 @@ def compute_observables(x_hat, x_o, zero_tol: float = 0.0) -> Observables:
     x_hat = np.asarray(x_hat, dtype=np.float64)
     x_o = np.asarray(x_o, dtype=np.float64)
     if x_hat.shape != x_o.shape or x_hat.ndim != 1:
-        raise DimensionError(f"shape mismatch: {x_hat.shape} vs {x_o.shape}")
+        raise RangeError(f"shape mismatch: {x_hat.shape} vs {x_o.shape}")
     if not 0.0 <= zero_tol < math.inf:
-        raise DimensionError(f"zero_tol must be finite and >= 0, got {zero_tol}")
+        raise RangeError(f"zero_tol must be finite and >= 0, got {zero_tol}")
     N = x_hat.size
     detected = np.abs(x_hat) > zero_tol
     truth_nonzero = x_o != 0.0

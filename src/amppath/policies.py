@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._brent import brentq
-from .exceptions import RangeError, RankError
+from .exceptions import RangeError
 from .priors import Prior, detection_prob
 
 
@@ -41,19 +41,10 @@ def fixed_detection_tau(u: np.ndarray, gamma: float, n: int) -> float:
     # the 1e-9 nudge keeps decimal gammas like 0.3 from flooring one short
     k = math.floor(gamma * n + 1e-9)
     if not 1 <= k <= u.size:
-        raise RankError(f"order statistic {k} outside [1, {u.size}]")
+        raise RangeError(f"order statistic {k} outside [1, {u.size}]")
     mag = np.abs(u)
     mag.partition(mag.size - k)
     return float(mag[mag.size - k])
-
-
-def fixed_false_alarm_tau(z: np.ndarray, beta: float) -> float:
-    """beta times the residual-norm estimate ||z||_2/sqrt(n) of the
-    effective noise level."""
-    if not 0.0 < beta < math.inf:
-        raise RangeError(f"beta must be finite and > 0, got {beta}")
-    n = z.size
-    return beta * float(np.linalg.norm(z)) / math.sqrt(n)
 
 
 def solve_tau_for_detection(prior: Prior, sigma: float, target: float) -> float:
@@ -98,7 +89,9 @@ class FixedFalseAlarm:
             raise RangeError(f"beta must be finite and > 0, got {self.beta}")
 
     def amp_tau(self, u: np.ndarray, z: np.ndarray, n: int) -> float:
-        return fixed_false_alarm_tau(z, self.beta)
+        # beta times the residual-norm estimate ||z||_2/sqrt(size of z) of
+        # the effective noise level
+        return self.beta * float(np.linalg.norm(z)) / math.sqrt(z.size)
 
     def se_tau(self, prior: Prior, sigma: float, delta: float) -> float:
         return self.beta * sigma

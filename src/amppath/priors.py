@@ -147,23 +147,19 @@ def parse_prior(text: str) -> Prior:
 
 
 @dataclass(frozen=True)
-class PsiParams:
-    """Fixed parameters of the variance map: undersampling ratio delta,
-    noise variance, signal prior, and false-alarm ratio beta (threshold
-    per unit of effective noise)."""
+class SEModel:
+    """Problem ensemble: undersampling ratio delta in (0,1), noise variance
+    sigma_w_sq > 0, and the signal prior."""
 
     delta: float
     sigma_w_sq: float
     prior: Prior
-    beta: float
 
     def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise RangeError(f"delta must be in (0, 1], got {self.delta}")
-        if not 0.0 <= self.sigma_w_sq < math.inf:
-            raise RangeError(f"noise variance must be finite and >= 0, got {self.sigma_w_sq}")
-        if not 0.0 <= self.beta < math.inf:
-            raise RangeError(f"beta must be finite and >= 0, got {self.beta}")
+        if not 0.0 < self.delta < 1.0:
+            raise RangeError(f"delta must be in (0, 1), got {self.delta}")
+        if not 0.0 < self.sigma_w_sq < math.inf:
+            raise RangeError(f"sigma_w_sq must be finite and > 0, got {self.sigma_w_sq}")
 
 
 def _unit_atom_risk(mu: float, tau: float) -> float:
@@ -250,8 +246,8 @@ def detection_prob(prior: Prior, sigma: float, theta: float) -> float:
     return min(total, 1.0)
 
 
-def psi_map(sigma_sq: float, p: PsiParams) -> float:
-    """One step of the effective-noise variance map.
+def psi_map(sigma_sq: float, model: SEModel, beta: float) -> float:
+    """One step of the effective-noise variance map at false-alarm ratio beta.
 
     sigma_sq -> sigma_w_sq + risk(prior, sigma, beta*sigma) / delta with
     sigma = sqrt(sigma_sq).  Concave and nondecreasing in sigma_sq, bounded
@@ -260,4 +256,4 @@ def psi_map(sigma_sq: float, p: PsiParams) -> float:
     if sigma_sq <= 0.0:
         raise RangeError(f"sigma_sq must be > 0, got {sigma_sq}")
     sigma = math.sqrt(sigma_sq)
-    return p.sigma_w_sq + risk(p.prior, sigma, p.beta * sigma) / p.delta
+    return model.sigma_w_sq + risk(model.prior, sigma, beta * sigma) / model.delta

@@ -22,28 +22,12 @@ from functools import lru_cache
 from ._brent import brentq
 from .exceptions import BracketFailure, NegativeLambda, NonConvergence, RangeError
 from .policies import ThresholdPolicy
-from .priors import Prior, PsiParams, atom_risk, detection_prob, psi_map, risk
+from .priors import SEModel, atom_risk, detection_prob, psi_map, risk
 
 _MAX_FP_ITERS = 10_000
 _FP_RTOL = 1e-13
 _BETA_MAX = 50.0
 _SIGMA_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class SEModel:
-    """Problem ensemble: undersampling ratio delta in (0,1), noise variance
-    sigma_w_sq > 0, and the signal prior."""
-
-    delta: float
-    sigma_w_sq: float
-    prior: Prior
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise RangeError(f"delta must be in (0, 1), got {self.delta}")
-        if not 0.0 < self.sigma_w_sq < math.inf:
-            raise RangeError(f"sigma_w_sq must be finite and > 0, got {self.sigma_w_sq}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +70,8 @@ def _fixed_point(g, s0: float) -> float:
     s = max(s0, _SIGMA_FLOOR**2)
     for _ in range(_MAX_FP_ITERS // 2):
         s1 = g(s)
+        if not math.isfinite(s1):
+            raise NonConvergence("variance iteration diverged (no fixed point)")
         if abs(s1 - s) <= _FP_RTOL * max(1.0, abs(s1)):
             return s1
         s2 = g(s1)
@@ -114,8 +100,9 @@ def solve_sigma_for_beta(model: SEModel, beta: float) -> float:
     the map has no fixed point (beta below the contraction threshold) or
     the iteration cap is exceeded.
     """
-    params = PsiParams(model.delta, model.sigma_w_sq, model.prior, beta)
-    g = lambda s: psi_map(s, params)
+    if not 0.0 <= beta < math.inf:
+        raise RangeError(f"beta must be finite and >= 0, got {beta}")
+    g = lambda s: psi_map(s, model, beta)
     s = _fixed_point(g, model.sigma_w_sq + model.prior.second_moment / model.delta)
     if abs(g(s) - s) > 1e-12 * max(1.0, s):
         raise NonConvergence("fixed-point residual above tolerance")
@@ -159,10 +146,13 @@ def _bisect_beta(model: SEModel, gamma: float, rtol: float) -> float:
     Bisection on [critical beta, BETA_MAX], using that the survivor
     fraction decreases in beta; a NonConvergence at the probe point means
     the map diverges there, which sits on the same side as a fraction
-    above gamma, so the probe is folded into the left branch.
+    above gamma, so the probe is folded into the left branch.  BracketFailure
+    when no probe saw a finite fraction at or above gamma: hi is then where
+    the divergence stops, or the critical beta, not a gamma crossing.
     """
     lo = _critical_beta(model.delta)
     hi = _BETA_MAX
+    crossed = False
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         try:
@@ -171,10 +161,13 @@ def _bisect_beta(model: SEModel, gamma: float, rtol: float) -> float:
             gamma_mid = math.inf
         if gamma_mid >= gamma:
             lo = mid
+            crossed = crossed or gamma_mid < math.inf
         else:
             hi = mid
         if hi - lo <= rtol * max(1.0, hi):
             break
+    if not crossed:
+        raise BracketFailure(f"no beta gave a finite survivor fraction at or above {gamma:.6g}")
     return hi
 
 

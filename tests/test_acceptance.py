@@ -13,7 +13,6 @@ from amppath import (
     InstanceConfig,
     PhaseGridConfig,
     Prior,
-    PsiParams,
     SEModel,
     amp_run,
     calibrate_gamma,
@@ -143,9 +142,9 @@ def test_criterion_03_fixed_point_uniqueness():
 
             # the variance iteration from below, from the solver's own start
             # and from above reaches the one point solve_sigma_for_beta returns
-            params = PsiParams(model.delta, model.sigma_w_sq, model.prior, a.beta)
             inits = (1e-6, model.prior.second_moment / model.delta + model.sigma_w_sq, 1e6)
-            sols = [math.sqrt(_fixed_point(lambda s: psi_map(s, params), s0)) for s0 in inits]
+            g = lambda s: psi_map(s, model, a.beta)
+            sols = [math.sqrt(_fixed_point(g, s0)) for s0 in inits]
             sols.append(solve_sigma_for_beta(model, a.beta))
             spread = max(sols) - min(sols)
             assert spread <= 1e-10

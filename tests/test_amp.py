@@ -13,11 +13,9 @@ from amppath import (
     InstanceConfig,
     ProblemInstance,
     RangeError,
-    RankError,
     SparseSpec,
     amp_run,
     fixed_detection_tau,
-    fixed_false_alarm_tau,
     gaussianity_stats,
     sample_instance,
 )
@@ -52,31 +50,36 @@ class TestFixedDetectionTau:
         assert fixed_detection_tau(u, 0.3, 1000) == 1000.0 - 299.0
 
     def test_rank_error(self):
-        with pytest.raises(RankError):
+        with pytest.raises(RangeError, match="order statistic"):
             fixed_detection_tau(np.ones(5), 0.9, 10)  # k=9 > len 5
-        with pytest.raises(RankError):
+        with pytest.raises(RangeError, match="order statistic"):
             fixed_detection_tau(np.ones(5), 0.05, 5)  # k=0
 
 
 class TestFixedFalseAlarmTau:
+    # the pseudo-data u plays no part in the false-alarm threshold
+    @staticmethod
+    def tau(z, beta):
+        return FixedFalseAlarm(beta).amp_tau(np.zeros(2 * z.size), z, z.size)
+
     def test_zero_residual(self):
-        assert fixed_false_alarm_tau(np.zeros(8), 2.0) == 0.0
+        assert self.tau(np.zeros(8), 2.0) == 0.0
 
     def test_definition(self):
         z = np.full(16, 1.5)
-        assert fixed_false_alarm_tau(z, 2.0) == pytest.approx(3.0, rel=1e-14)
+        assert self.tau(z, 2.0) == pytest.approx(3.0, rel=1e-14)
 
     def test_law_of_large_numbers(self):
         z = 2.0 * np.random.default_rng(5).standard_normal(10**6)
-        sigma = fixed_false_alarm_tau(z, 1.0)
+        sigma = self.tau(z, 1.0)
         assert 1.99 <= sigma <= 2.01
 
     def test_beta_validation(self):
         with pytest.raises(RangeError):
-            fixed_false_alarm_tau(np.ones(4), 0.0)
+            FixedFalseAlarm(0.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(RangeError):
-                fixed_false_alarm_tau(np.ones(4), bad)
+                FixedFalseAlarm(bad)
 
 
 class TestPolicyValidation:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import amppath.cli
+import amppath.experiments
 from amppath import SEModel, beta_of_lambda, parse_prior, sample_instance
 from amppath.cli import main
 
@@ -457,20 +458,63 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "args, expected",
+        "args, message",
         [
-            (["--delta", "0.5", "--sigma-w-sq", "1e300", "--beta", "1.5"], 3),
-            (["--delta", "0.5", "--sigma-w-sq", "1e300", "--gamma", "0.5"], 0),
-            (["--delta", "0.5", "--sigma-w-sq", "1e300", "--lambda", "1e-300"], 0),
-            (["--delta", "1e-300", "--sigma-w-sq", "1", "--lambda", "1e7"], 0),
+            (["--delta", "0.5", "--sigma-w-sq", "1e300", "--beta", "1.5"], "diverged"),
+            (["--delta", "0.5", "--sigma-w-sq", "1e300", "--gamma", "0.5"],
+             "no beta gave a finite survivor fraction at or above 0.5"),
+            (["--delta", "0.5", "--sigma-w-sq", "1e300", "--lambda", "1e-300"],
+             "no beta gave a finite survivor fraction at or above 1"),
+            (["--delta", "1e-300", "--sigma-w-sq", "1", "--lambda", "1e7"],
+             "no beta gave a finite survivor fraction at or above 1"),
         ],
         ids=["huge-noise-beta", "huge-noise-gamma", "huge-noise-lambda", "tiny-delta-lambda"],
     )
-    def test_overflowing_aitken_step(self, tmp_path, args, expected):
+    def test_overflowing_aitken_step(self, tmp_path, capsys, args, message):
         # the square in the variance solver's Aitken step overflows here; the
-        # solver takes the plain step instead of ending in a traceback
-        code, _ = run(tmp_path, "overflow", "se-solve", *args)
-        assert code == expected
+        # solver takes the plain step instead of ending in a traceback.  Every
+        # probe of the beta bisections then diverges, so no gamma crossing is
+        # seen: a solver failure, not the edge where the divergence stops
+        code, out = run(tmp_path, "overflow", "se-solve", *args)
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            (["--beta", "0.05"], "variance iteration diverged"),
+            (["--lambda", "0.1"], "no beta gave a finite survivor fraction at or above 1"),
+        ],
+        ids=["beta", "lambda"],
+    )
+    def test_overflowing_variance_map_is_solver_failure(self, tmp_path, capsys, target, message):
+        # one step of the variance map from the start overflows to inf; that
+        # step was fed back into the map, whose sigma check made it a
+        # configuration error (exit 2), and the lambda bisection returned
+        # the edge of the divergence as a point (exit 0)
+        code, out = run(
+            tmp_path, "hugeatom", "se-solve", "--delta", "1e-6", "--prior", "0.5:0,0.5:1e150",
+            *target,
+        )
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_band_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # rho * n overflowed to inf and math.floor raised OverflowError; the
+        # band is now checked before any trial runs or worker forks
+        def no_trials(tasks):
+            raise AssertionError("trials ran before the band was checked")
+
+        monkeypatch.setattr(amppath.experiments, "_map_trials", no_trials)
+        code, out = run(
+            tmp_path, "hugeband", "phase-transition", "--big-n", "100", "--delta-points", "1",
+            "--rho-points", "2", "--trials", "1", "--band-lo", "1e308", "--band-hi", "1e308",
+        )
+        assert code == 2
+        assert "sparsity rho * n = inf outside [0, 100]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_phase_delta_below_curve_is_config_error(self, tmp_path, capsys):
         # the curve's delta coordinate reaches down to about 1.15e-299 only;

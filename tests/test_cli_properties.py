@@ -13,7 +13,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amppath.cli import main
@@ -120,6 +120,11 @@ def test_sweep(n, big_n, k, amplitude, sigma_w_sq, seed, lambda_min, lambda_max,
     big_n=sizes, delta_min=fractions, delta_max=fractions, delta_points=few, rho_points=few,
     trials=few, gamma=fractions, tol=values, amp_iters=iters, band_lo=fractions, band_hi=fractions,
     seed=seeds,
+)
+# rho * n overflows to inf at this band; the derandomized draws never reach it
+@example(
+    big_n=100, delta_min=0.1, delta_max=0.9, delta_points=1, rho_points=2, trials=1, gamma=1.0,
+    tol=1e-2, amp_iters=20, band_lo=1e308, band_hi=1e308, seed=0,
 )
 def test_phase_transition(big_n, delta_min, delta_max, delta_points, rho_points, trials, gamma,
                           tol, amp_iters, band_lo, band_hi, seed):

@@ -13,7 +13,6 @@ import pytest
 import amppath.experiments
 import amppath.lasso
 from amppath import (
-    DimensionError,
     Divergence,
     FixedDetection,
     InstanceConfig,
@@ -305,9 +304,9 @@ def _noisy_instance():
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: InstanceConfig(10, 20, SparseSpec(k=2), noise_variance=math.nan), DimensionError),
-        (lambda: InstanceConfig(10, 20, SparseSpec(k=2), noise_variance=math.inf), DimensionError),
-        (lambda: InstanceConfig(10, 20, SparseSpec(k=2, amplitude=math.nan)), DimensionError),
+        (lambda: InstanceConfig(10, 20, SparseSpec(k=2), noise_variance=math.nan), RangeError),
+        (lambda: InstanceConfig(10, 20, SparseSpec(k=2), noise_variance=math.inf), RangeError),
+        (lambda: InstanceConfig(10, 20, SparseSpec(k=2, amplitude=math.nan)), RangeError),
         (lambda: PhaseGridConfig(tol=math.nan), RangeError),
         (lambda: PhaseGridConfig(rho_band=(math.nan, 1.2)), RangeError),
         (lambda: SweepConfig(_noisy_instance(), (0.1,), solver_tol=math.nan), RangeError),

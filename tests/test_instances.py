@@ -3,8 +3,8 @@ import pytest
 
 import amppath.instances
 from amppath import (
-    DimensionError,
     InstanceConfig,
+    RangeError,
     SparseSpec,
     compute_observables,
     parse_prior,
@@ -119,11 +119,11 @@ class TestSampling:
             assert abs(np.mean(inst.x_o**2) - prior.second_moment) <= 4 / np.sqrt(N)
 
     def test_dimension_errors(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(RangeError):
             InstanceConfig(10, 20, SparseSpec(k=25))
-        with pytest.raises(DimensionError):
+        with pytest.raises(RangeError):
             InstanceConfig(0, 20, SparseSpec(k=5))
-        with pytest.raises(DimensionError):
+        with pytest.raises(RangeError):
             InstanceConfig(10, 20, SparseSpec(k=5), noise_variance=-1.0)
 
     def test_oversampled_warns(self):
@@ -169,14 +169,14 @@ class TestObservables:
         assert obs.md == md / 300
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(RangeError):
             compute_observables(np.zeros(5), np.zeros(6))
 
     @pytest.mark.parametrize("zero_tol", [np.nan, np.inf])
     def test_non_finite_zero_tol_rejected(self, zero_tol):
         # a NaN tolerance counted nothing as detected: dr 0, md 1
         x_o = np.ones(10)
-        with pytest.raises(DimensionError):
+        with pytest.raises(RangeError):
             compute_observables(x_o, x_o, zero_tol=zero_tol)
 
 

@@ -9,8 +9,8 @@ from amppath import (
     FixedThreshold,
     Prior,
     ProblemInstance,
-    PsiParams,
     RangeError,
+    SEModel,
     amp_run,
     atom_risk,
     detection_prob,
@@ -271,48 +271,43 @@ class TestDetectionProb:
 
 
 class TestPsiMap:
-    def _params(self, beta, prior=None):
-        prior = prior if prior is not None else parse_prior("0.9:0,0.05:1,0.05:-1")
-        return PsiParams(delta=0.5, sigma_w_sq=0.2, prior=prior, beta=beta)
+    MODEL = SEModel(delta=0.5, sigma_w_sq=0.2, prior=parse_prior("0.9:0,0.05:1,0.05:-1"))
 
     def test_large_beta_limit(self):
-        p = self._params(beta=1e5)
-        expected = 0.2 + p.prior.second_moment / 0.5
-        assert psi_map(1.0, p) == pytest.approx(expected, abs=1e-9)
+        expected = 0.2 + self.MODEL.prior.second_moment / 0.5
+        assert psi_map(1.0, self.MODEL, 1e5) == pytest.approx(expected, abs=1e-9)
 
     def test_zero_beta(self):
-        p = self._params(beta=0.0)
         for s in (0.1, 1.0, 4.0):
-            assert psi_map(s, p) == pytest.approx(0.2 + s / 0.5, rel=1e-13)
+            assert psi_map(s, self.MODEL, 0.0) == pytest.approx(0.2 + s / 0.5, rel=1e-13)
 
     def test_concavity(self):
-        p = self._params(beta=1.5)
         grid = np.linspace(0.1, 10.0, 100)
-        vals = np.array([psi_map(s, p) for s in grid])
+        vals = np.array([psi_map(s, self.MODEL, 1.5) for s in grid])
         second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
         assert np.all(second <= 1e-10)
 
     def test_above_noise_floor(self):
-        p = self._params(beta=2.0)
         for s in (0.05, 0.5, 2.0):
-            assert psi_map(s, p) > 0.2
+            assert psi_map(s, self.MODEL, 2.0) > 0.2
 
     @pytest.mark.parametrize("field", ["sigma_w_sq", "beta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_parameter_rejected(self, field, value):
-        # a NaN noise variance made psi_map return NaN, an infinite one inf
-        kwargs = {"delta": 0.5, "sigma_w_sq": 0.2, "prior": sparse_prior(0.1), "beta": 1.5}
+        # a NaN noise variance made psi_map return NaN, an infinite one inf;
+        # SEModel rejects the noise variance, risk's theta check the beta
+        args = {"sigma_w_sq": 0.2, "beta": 1.5, field: value}
         with pytest.raises(RangeError):
-            PsiParams(**{**kwargs, field: value})
+            psi_map(1.0, SEModel(0.5, args["sigma_w_sq"], sparse_prior(0.1)), args["beta"])
 
     @pytest.mark.parametrize("delta", [0.0, 1.5, math.nan])
     def test_delta_range(self, delta):
         with pytest.raises(RangeError, match="delta must be in"):
-            PsiParams(delta, 0.2, sparse_prior(0.1), 1.5)
+            SEModel(delta, 0.2, sparse_prior(0.1))
 
     def test_zero_variance_rejected(self):
         with pytest.raises(RangeError, match="sigma_sq must be > 0"):
-            psi_map(0.0, self._params(beta=1.5))
+            psi_map(0.0, self.MODEL, 1.5)
 
 
 class TestMonteCarloSweep:

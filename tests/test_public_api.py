@@ -10,8 +10,8 @@ import amppath
 
 PUBLIC_API = {
     # exceptions
-    "AmpPathError", "BracketFailure", "DimensionError", "Divergence", "NegativeLambda",
-    "NonConvergence", "RangeError", "RankError",
+    "AmpPathError", "BracketFailure", "Divergence", "NegativeLambda", "NonConvergence",
+    "RangeError",
     # amp
     "AmpState", "AmpTrace", "amp_run", "gaussianity_stats",
     # experiments
@@ -25,15 +25,15 @@ PUBLIC_API = {
     "LassoResult", "kkt_residual", "lasso_solve", "power_iteration_sq_norm",
     # policies
     "FixedDetection", "FixedFalseAlarm", "FixedThreshold", "ThresholdPolicy",
-    "fixed_detection_tau", "fixed_false_alarm_tau", "solve_tau_for_detection",
+    "fixed_detection_tau", "solve_tau_for_detection",
     # priors
-    "Prior", "PsiParams", "atom_risk", "detection_prob", "parse_prior", "point_mass_at_zero",
+    "Prior", "SEModel", "atom_risk", "detection_prob", "parse_prior", "point_mass_at_zero",
     "psi_map", "risk", "risk_derivative", "soft_threshold", "sparse_prior", "std_normal_cdf",
     "std_normal_pdf",
     # rng
     "splitmix64", "standard_normal", "substreams", "trial_seed",
     # state evolution
-    "SEModel", "SEPoint", "SETrajectory", "beta_of_lambda", "calibrate_gamma",
+    "SEPoint", "SETrajectory", "beta_of_lambda", "calibrate_gamma",
     "lambda_of_beta", "lasso_path", "se_trajectory", "solve_sigma_for_beta",
 }
 
@@ -52,6 +52,7 @@ PARAMETERS = {
     "amp_run": ["instance", "policy", "max_iter", "conv_tol", "trace"],
     "kkt_residual": ["instance", "lam", "x_hat"],
     "solve_sigma_for_beta": ["model", "beta"],
+    "psi_map": ["sigma_sq", "model", "beta"],
     "interpolate_display_grid": ["grid"],
 }
 
@@ -59,7 +60,7 @@ FIELDS = {
     "SweepConfig": ["instance", "lambda_grid", "solver", "solver_tol", "amp_max_iter"],
     "PhaseGridConfig": ["n_signal", "delta_grid", "rho_band", "rho_points", "trials", "tol",
                         "max_iter", "gamma", "base_seed"],
-    "PsiParams": ["delta", "sigma_w_sq", "prior", "beta"],
+    "SEModel": ["delta", "sigma_w_sq", "prior"],
 }
 
 

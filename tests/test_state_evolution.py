@@ -12,7 +12,6 @@ from amppath import (
     FixedThreshold,
     NegativeLambda,
     NonConvergence,
-    PsiParams,
     RangeError,
     SEModel,
     beta_of_lambda,
@@ -61,8 +60,7 @@ class TestSolveSigma:
     def test_grid_scan_oracle_zero_prior(self):
         model = SEModel(0.5, 0.2, point_mass_at_zero())
         sigma_hat = solve_sigma_for_beta(model, 2.0)
-        params = PsiParams(0.5, 0.2, model.prior, 2.0)
-        f = lambda s: psi_map(s, params) - s
+        f = lambda s: psi_map(s, model, 2.0) - s
         grid = np.linspace(1e-4, 5.0, 2000)
         vals = [f(s) for s in grid]
         bracket = next(
@@ -81,8 +79,7 @@ class TestSolveSigma:
     def test_initialization_independence(self, golden_model):
         # the variance iteration reaches the point solve_sigma_for_beta
         # returns from below, from the solver's own start and from above
-        params = PsiParams(0.5, 0.2, golden_model.prior, GOLDEN_BETA)
-        g = lambda s: psi_map(s, params)
+        g = lambda s: psi_map(s, golden_model, GOLDEN_BETA)
         sols = [
             math.sqrt(se._fixed_point(g, s0))
             for s0 in (1e-6, golden_model.prior.second_moment / 0.5, 1e6)
@@ -92,9 +89,8 @@ class TestSolveSigma:
 
     def test_residual_contract(self, golden_model):
         sigma_hat = solve_sigma_for_beta(golden_model, 0.9)
-        params = PsiParams(0.5, 0.2, golden_model.prior, 0.9)
         s = sigma_hat**2
-        assert abs(psi_map(s, params) - s) <= 1e-12 * max(1.0, s)
+        assert abs(psi_map(s, golden_model, 0.9) - s) <= 1e-12 * max(1.0, s)
 
     @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
     def test_rejects_beta_out_of_range(self, golden_model, beta):
@@ -123,6 +119,13 @@ class TestSolveSigma:
         model = SEModel(0.01, 1e-30, sparse_prior(1e-5, 1e-5, symmetric=False))
         with pytest.raises(NonConvergence, match="residual above tolerance"):
             solve_sigma_for_beta(model, 0.5)
+
+    def test_nonconvergence_when_map_overflows(self):
+        # the first map step from the start overflows to inf; fed back into
+        # the map it failed sigma's range check, a configuration error
+        model = SEModel(1e-6, 1.0, parse_prior("0.5:0,0.5:1e150"))
+        with pytest.raises(NonConvergence, match="diverged"):
+            solve_sigma_for_beta(model, 0.05)
 
 
 class TestLambdaOfBeta:
@@ -216,6 +219,13 @@ class TestCalibrateGamma:
         lams = [calibrate_gamma(golden_model, g).lam for g in (0.9, 0.99, 0.999)]
         assert lams[0] > lams[1] > lams[2]
         assert lams[2] < 1e-2
+
+    def test_no_finite_probe_is_bracket_failure(self, golden_prior):
+        # every probe's variance passes the solver's divergence bound, so the
+        # bisection never sees the crossing; it returned the edge where the
+        # bound stops firing, gamma about 2.75e-12
+        with pytest.raises(BracketFailure, match="no beta gave a finite survivor fraction"):
+            calibrate_gamma(SEModel(0.5, 1e300, golden_prior), 0.5)
 
     def test_rejects_bad_gamma(self, golden_model):
         with pytest.raises(RangeError):
