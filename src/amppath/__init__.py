@@ -43,11 +43,9 @@ from .policies import (
     FixedThreshold,
     ThresholdPolicy,
     fixed_detection_tau,
-    solve_tau_for_detection,
 )
 from .priors import (
     Prior,
-    atom_risk,
     detection_prob,
     parse_prior,
     point_mass_at_zero,

@@ -47,24 +47,6 @@ def fixed_detection_tau(u: np.ndarray, gamma: float, n: int) -> float:
     return float(mag[mag.size - k])
 
 
-def solve_tau_for_detection(prior: Prior, sigma: float, target: float) -> float:
-    """Threshold with P(|X + sigma*Z| > tau) = target, target in (0, 1).
-
-    detection_prob is continuous and strictly decreasing in tau, so the
-    root is unique; the bracket extends past the largest atom so it holds
-    even when the atoms dominate the noise scale.
-    """
-    if not 0.0 < target < 1.0:
-        raise RangeError(f"detection target must be in (0, 1), got {target}")
-    hi = 50.0 * sigma + prior.max_abs_value
-    return brentq(
-        lambda t: detection_prob(prior, sigma, t) - target,
-        0.0,
-        hi,
-        xtol=1e-14,
-    )
-
-
 @dataclass(frozen=True)
 class FixedDetection:
     gamma: float
@@ -77,7 +59,15 @@ class FixedDetection:
         return fixed_detection_tau(u, self.gamma, n)
 
     def se_tau(self, prior: Prior, sigma: float, delta: float) -> float:
-        return solve_tau_for_detection(prior, sigma, self.gamma * delta)
+        # the threshold with P(|X + sigma*Z| > tau) = gamma * delta: unique, as
+        # detection_prob is continuous and strictly decreasing in tau; the
+        # bracket extends past the largest atom so it holds even when the
+        # atoms dominate the noise scale
+        target = self.gamma * delta
+        if not 0.0 < target < 1.0:
+            raise RangeError(f"detection target must be in (0, 1), got {target}")
+        hi = 50.0 * sigma + prior.max_abs_value
+        return brentq(lambda t: detection_prob(prior, sigma, t) - target, 0.0, hi, xtol=1e-14)
 
 
 @dataclass(frozen=True)

@@ -185,21 +185,11 @@ def _check_sigma_theta(sigma: float, theta: float):
         raise RangeError(f"theta must be finite and >= 0, got {theta}")
 
 
-def atom_risk(x: float, sigma: float, theta: float) -> float:
-    """E_Z[(eta(x + sigma*Z; theta) - x)^2] for a single signal value x.
-
-    Absolute scale; equals sigma^2 times the unit-noise risk at
-    mu = x/sigma, tau = theta/sigma.
-    """
-    _check_sigma_theta(sigma, theta)
-    return sigma * sigma * _unit_atom_risk(x / sigma, theta / sigma)
-
-
 def risk(prior: Prior, sigma: float, theta: float) -> float:
     """Soft-thresholding risk E[(eta(X + sigma*Z; theta) - X)^2].
 
-    Mixture of :func:`atom_risk` over the prior atoms.  At theta = 0 the
-    shrinkage is the identity and the risk equals sigma^2 exactly.
+    Mixture over the prior atoms of the unit-noise risk, scaled by sigma^2.
+    At theta = 0 the shrinkage is the identity and the risk equals sigma^2.
     """
     _check_sigma_theta(sigma, theta)
     s2 = sigma * sigma

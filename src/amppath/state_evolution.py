@@ -22,7 +22,7 @@ from functools import lru_cache
 from ._brent import brentq
 from .exceptions import BracketFailure, NegativeLambda, NonConvergence, RangeError
 from .policies import ThresholdPolicy
-from .priors import SEModel, atom_risk, detection_prob, psi_map, risk
+from .priors import SEModel, detection_prob, point_mass_at_zero, psi_map, risk
 
 _MAX_FP_ITERS = 10_000
 _FP_RTOL = 1e-13
@@ -72,7 +72,7 @@ def _fixed_point(g, s0: float) -> float:
         s1 = g(s)
         if not math.isfinite(s1):
             raise NonConvergence("variance iteration diverged (no fixed point)")
-        if abs(s1 - s) <= _FP_RTOL * max(1.0, abs(s1)):
+        if abs(s1 - s) <= _FP_RTOL * s1:
             return s1
         s2 = g(s1)
         denom = s2 - 2.0 * s1 + s
@@ -104,7 +104,9 @@ def solve_sigma_for_beta(model: SEModel, beta: float) -> float:
         raise RangeError(f"beta must be finite and >= 0, got {beta}")
     g = lambda s: psi_map(s, model, beta)
     s = _fixed_point(g, model.sigma_w_sq + model.prior.second_moment / model.delta)
-    if abs(g(s) - s) > 1e-12 * max(1.0, s):
+    # a guard: g is concave with g(0+) >= sigma_w_sq > 0, so g'(s) <= g(s)/s
+    # and a step under 1e-13 s leaves a residual near 1e-13 s
+    if abs(g(s) - s) > 1e-12 * s:
         raise NonConvergence("fixed-point residual above tolerance")
     return math.sqrt(s)
 
@@ -136,7 +138,7 @@ def _critical_beta(delta: float) -> float:
     # Below this beta the variance map grows faster than the identity and
     # has no fixed point: the unit-noise risk of a zero signal, which the
     # map follows at large sigma, exceeds delta.
-    return brentq(lambda b: atom_risk(0.0, 1.0, b) - delta, 0.0, _BETA_MAX, xtol=1e-13)
+    return brentq(lambda b: risk(point_mass_at_zero(), 1.0, b) - delta, 0.0, _BETA_MAX, xtol=1e-13)
 
 
 def _bisect_beta(model: SEModel, gamma: float, rtol: float) -> float:

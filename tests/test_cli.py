@@ -109,7 +109,7 @@ class TestPinnedOutput:
         "lasso-path": (
             ["lasso-path", "--delta", "0.5", "--sigma-w-sq", "0.2", "--lambda-min", "0.01",
              "--lambda-max", "2", "--lambda-points", "100"],
-            "1528a049b9a1c56e02a29640fbc238bff9f501a3e50dee555dc2284e36f558a1",
+            "70225d45796d37034852a35d198d9aa2002bba3c82203de9989c0aeeeeaad3df",
         ),
         "risk-curve": (
             ["risk-curve", "--prior", "1:1", "--tau-min", "0", "--tau-max", "6",
@@ -501,6 +501,19 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tiny_noise_below_contraction_is_solver_failure(self, tmp_path, capsys):
+        # beta 0.3 lies below the contraction threshold at delta 0.5, so the
+        # variance map has no fixed point; a stop bound absolute below
+        # variance 1 once ended the iteration there, and the point it
+        # returned failed as NegativeLambda (exit 2)
+        code, out = run(
+            tmp_path, "tinynoise", "se-solve", "--delta", "0.5", "--sigma-w-sq", "1e-30",
+            "--prior", "1:0", "--beta", "0.3",
+        )
+        assert code == 3
+        assert "solver failure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_band_is_config_error(self, tmp_path, capsys, monkeypatch):
         # rho * n overflowed to inf and math.floor raised OverflowError; the
         # band is now checked before any trial runs or worker forks
@@ -603,13 +616,50 @@ class TestErrorPaths:
         assert captured.out.startswith("lambda,beta,tau,")
 
 
+def _src_env():
+    # the environment of a fresh interpreter that imports this amppath
+    src = str(Path(amppath.cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def _entry_point(kind):
+    # the interpreter arguments that start the CLI: ``python -m amppath``, or
+    # the function pyproject.toml's [project.scripts] installs as ``amppath``
+    if kind == "module":
+        return ["-m", "amppath"]
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["amppath"]
+    module, func = target.split(":")
+    return ["-c", f"import sys\nfrom {module} import {func}\nsys.exit({func}())"]
+
+
+@pytest.mark.parametrize("kind", ["module", "script"])
+def test_entry_points_keep_the_exit_code_contract(kind):
+    # tier-1 otherwise calls main() in-process; these run each entry point
+    # in a fresh interpreter, so its sys.exit carries main's exit code
+    env = _src_env()
+    entry = [sys.executable, *_entry_point(kind)]
+    se_lambda, digest = TestPinnedOutput.DIGESTS["se-lambda"]
+
+    ok = subprocess.run([*entry, *se_lambda], env=env, capture_output=True)
+    assert ok.returncode == 0
+    assert hashlib.sha256(ok.stdout).hexdigest() == digest
+
+    bad = subprocess.run([*entry, "se-solve", "--lambda", "nan"], env=env, capture_output=True)
+    assert bad.returncode == 2
+    assert b"error:" in bad.stderr
+
+    failed = subprocess.run([*entry, "se-solve", "--lambda", "1e9"], env=env, capture_output=True)
+    assert failed.returncode == 3
+    assert b"solver failure:" in failed.stderr
+
+
 def _loaded_modules(code):
     # the modules a fresh interpreter holds after running code
-    src = str(Path(amppath.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = f"import sys\n{code}\nprint(' '.join(sys.modules))"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=_src_env(), capture_output=True, text=True, check=True
     )
     return set(result.stdout.split())
 

@@ -12,7 +12,6 @@ from amppath import (
     RangeError,
     SEModel,
     amp_run,
-    atom_risk,
     detection_prob,
     lasso_solve,
     parse_prior,
@@ -172,15 +171,15 @@ class TestParsePrior:
 
 class TestAtomRisk:
     def test_identity_at_zero_threshold(self):
-        assert atom_risk(0.0, 1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
-        assert atom_risk(3.0, 2.0, 0.0) == pytest.approx(4.0, rel=1e-13)
+        assert risk(Prior(((0.0, 1.0),)), 1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+        assert risk(Prior(((3.0, 1.0),)), 2.0, 0.0) == pytest.approx(4.0, rel=1e-13)
 
     def test_kill_everything_limit(self):
-        assert atom_risk(5.0, 1.0, 1e6) == pytest.approx(25.0, abs=1e-9)
+        assert risk(Prior(((5.0, 1.0),)), 1.0, 1e6) == pytest.approx(25.0, abs=1e-9)
 
     def test_monte_carlo_agreement(self):
         est, se = mc_risk(Prior(((1.0, 1.0),)), 1.0, 0.5, 10**7, seed=42)
-        assert abs(atom_risk(1.0, 1.0, 0.5) - est) <= 3 * se
+        assert abs(risk(Prior(((1.0, 1.0),)), 1.0, 0.5) - est) <= 3 * se
 
 
 class TestRisk:

@@ -25,9 +25,9 @@ PUBLIC_API = {
     "LassoResult", "kkt_residual", "lasso_solve", "power_iteration_sq_norm",
     # policies
     "FixedDetection", "FixedFalseAlarm", "FixedThreshold", "ThresholdPolicy",
-    "fixed_detection_tau", "solve_tau_for_detection",
+    "fixed_detection_tau",
     # priors
-    "Prior", "SEModel", "atom_risk", "detection_prob", "parse_prior", "point_mass_at_zero",
+    "Prior", "SEModel", "detection_prob", "parse_prior", "point_mass_at_zero",
     "psi_map", "risk", "risk_derivative", "soft_threshold", "sparse_prior", "std_normal_cdf",
     "std_normal_pdf",
     # rng

@@ -25,7 +25,6 @@ from amppath import (
     risk,
     se_trajectory,
     solve_sigma_for_beta,
-    solve_tau_for_detection,
     sparse_prior,
 )
 
@@ -113,12 +112,27 @@ class TestSolveSigma:
 
     def test_residual_check_below_contraction_at_tiny_variance(self):
         # beta 0.5 is below the contraction threshold, so there is no fixed
-        # point; the iteration starts near 1e-13, where a step under the
-        # absolute tolerance ends it, and only the residual check is left
-        # to see that sigma^2 is not a fixed point
+        # point; the iteration starts near 1e-13, where a step under an
+        # absolute tolerance would end it.  The relative stop rule keeps
+        # iterating until the variance diverges
         model = SEModel(0.01, 1e-30, sparse_prior(1e-5, 1e-5, symmetric=False))
-        with pytest.raises(NonConvergence, match="residual above tolerance"):
+        with pytest.raises(NonConvergence, match="no fixed point"):
             solve_sigma_for_beta(model, 0.5)
+
+    def test_nonconvergence_below_contraction_at_tiny_noise(self):
+        # at beta = 0 the map is s -> 1e-20 + 2 s, with no fixed point; a stop
+        # bound absolute below variance 1 once returned sigma_hat = 1.73e-10
+        model = SEModel(0.5, 1e-20, point_mass_at_zero())
+        with pytest.raises(NonConvergence):
+            solve_sigma_for_beta(model, 0.0)
+
+    def test_fixed_point_at_tiny_noise(self):
+        # the fixed point is sigma_hat = 3.8e-15; a stop bound absolute below
+        # variance 1 once returned sigma_hat = 2.9e-9, where 69% of sigma_hat^2
+        # was fixed-point residual
+        model = SEModel(0.5, 1e-29, parse_prior("0.97:0,0.03:500"))
+        s = solve_sigma_for_beta(model, 1.9) ** 2
+        assert abs(psi_map(s, model, 1.9) - s) <= 1e-12 * s
 
     def test_nonconvergence_when_map_overflows(self):
         # the first map step from the start overflows to inf; fed back into
@@ -299,20 +313,20 @@ class TestSETrajectory:
 class TestInnerTauSolve:
     def test_matches_detection(self, golden_model):
         prior = golden_model.prior
-        tau = solve_tau_for_detection(prior, 0.7, 0.25)
+        tau = FixedDetection(0.5).se_tau(prior, 0.7, 2.0 * 0.25)
         assert detection_prob(prior, 0.7, tau) == pytest.approx(0.25, abs=1e-12)
 
     def test_atom_dominated_regime(self):
         # tiny noise: the threshold must clear the atoms, beyond 50*sigma
         prior = sparse_prior(0.4, 2.0)
-        tau = solve_tau_for_detection(prior, 1e-3, 0.2)
+        tau = FixedDetection(0.5).se_tau(prior, 1e-3, 2.0 * 0.2)
         assert tau > 1.9
         assert detection_prob(prior, 1e-3, tau) == pytest.approx(0.2, abs=1e-9)
 
     @pytest.mark.parametrize("target", [0.0, 1.0, math.nan])
     def test_rejects_target_outside_open_interval(self, golden_prior, target):
         with pytest.raises(RangeError, match="detection target must be in"):
-            solve_tau_for_detection(golden_prior, 0.7, target)
+            FixedDetection(0.5).se_tau(golden_prior, 0.7, 2.0 * target)
 
 
 class TestModelValidation:
