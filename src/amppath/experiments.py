@@ -13,12 +13,12 @@ is the same either way.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._brent import brentq
+from ._team import workers as _workers
 from .amp import amp_run
 from .exceptions import Divergence, RangeError
 from .instances import InstanceConfig, SparseSpec, compute_observables, sample_instance
@@ -124,21 +124,6 @@ def _run_trial(N: int, n: int, k: int, gamma: float, max_iter: int, tol: float, 
     except Divergence:
         return 0.0
     return 1.0 if float(np.linalg.norm(state.x - instance.x_o)) / norm_o < tol else 0.0
-
-
-def _workers() -> int:
-    """Processes the phase grid runs its trials on: one per CPU of the
-    affinity mask, or 1 where fork is missing or this process has more than
-    one OS thread. A threaded BLAS would be copied into every worker and
-    oversubscribe the cores, and fork is unsafe beside live threads."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        threads = len(os.listdir("/proc/self/task"))
-    except (AttributeError, OSError):
-        return 1
-    return cpus if threads == 1 else 1
 
 
 def _run_share(tasks: list[tuple], conn) -> None:

@@ -56,14 +56,32 @@ residuals) and halves the step; the new anchor clears it.  Only a check
 on all of A ends the solve, so the reported residual is the
 certificate's own bit for bit, and the steps taken before it are the
 iterations.
+
+The passes lasso_solve and power_iteration_sq_norm make after their start
+checks can be split between processes (_split).  With w = _workers() > 1
+(BLAS on one thread, w CPUs in the affinity mask), on x86-64, and when
+each of w processes gets at least two of A's row blocks, the first pass
+forks w - 1 helpers (_team.Team).  Each pass then hands each process a
+contiguous run of its row blocks, the same blocks as in one process.  x
+goes out, and r and each block's share of A^T r come back, through a
+shared buffer.  This process sums the shares in the serial order, so
+every result keeps the serial bits.  Each process copies its own rows of
+A_W, at one scale e; when float32 cannot hold any of them, all fall back to
+float64.  The helpers spin between passes and are reaped before the call
+returns or raises.  kkt_residual's one pass and smaller matrices stay
+serial; so does a working set too narrow to give each process two blocks.
 """
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._team import Team
+from ._team import workers as _workers
 from .exceptions import RangeError
 from .instances import ProblemInstance
 
@@ -115,62 +133,85 @@ def power_iteration_sq_norm(A: np.ndarray) -> float:
     """
     q = np.random.default_rng(0).random(A.shape[1]) - 0.5
     q /= np.linalg.norm(q)
-    zero = np.zeros(A.shape[0])
     q_prev = np.zeros_like(q)
     alphas: list[float] = []
     betas: list[float] = []
     beta = theta = 0.0
-    for k in range(1, _LANCZOS_MAX_ITER + 1):
-        # NaN or inf in A ends in the RangeError below, not numpy's warnings
-        with np.errstate(invalid="ignore"):
-            w = _residual_and_gradient(A, q, zero)[1]
-            alpha = float(q @ w)
-            w -= alpha * q + beta * q_prev
-            beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
-        # theta, the last top Ritz value or any diagonal entry of T, bounds
-        # the current one from below, so a beta this small (or 0, or NaN)
-        # passes the test below: q = w / beta never divides by a breakdown
-        theta = max(theta, alpha)
-        if k % _LANCZOS_CHECK_EVERY == 0 or k == _LANCZOS_MAX_ITER or not beta > _POWER_RTOL * theta:
-            T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            eigenvalues, eigenvectors = np.linalg.eigh(T)
-            theta = float(eigenvalues[-1])
-            if not math.isfinite(theta):
-                raise RangeError(f"top singular value estimate is not finite ({theta}): A holds NaN or inf")
-            if beta * abs(eigenvectors[-1, -1]) <= _POWER_RTOL * theta:
-                return theta
-        betas.append(beta)
-        q_prev, q = q, w / beta
+    with _split(A, None) as M:
+        for k in range(1, _LANCZOS_MAX_ITER + 1):
+            # NaN or inf in A ends in the RangeError below, not numpy's
+            # warnings; helpers forked at the first pass keep this errstate
+            with np.errstate(invalid="ignore"):
+                w = _residual_and_gradient(M, q, None)[1]
+                alpha = float(q @ w)
+                w -= alpha * q + beta * q_prev
+                beta = float(np.linalg.norm(w))
+            alphas.append(alpha)
+            # theta, the last top Ritz value or any diagonal entry of T, bounds
+            # the current one from below, so a beta this small (or 0, or NaN)
+            # passes the test below: q = w / beta never divides by a breakdown
+            theta = max(theta, alpha)
+            if k % _LANCZOS_CHECK_EVERY == 0 or k == _LANCZOS_MAX_ITER or not beta > _POWER_RTOL * theta:
+                T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+                eigenvalues, eigenvectors = np.linalg.eigh(T)
+                theta = float(eigenvalues[-1])
+                if not math.isfinite(theta):
+                    raise RangeError(f"top singular value estimate is not finite ({theta}): A holds NaN or inf")
+                if beta * abs(eigenvectors[-1, -1]) <= _POWER_RTOL * theta:
+                    return theta
+            betas.append(beta)
+            q_prev, q = q, w / beta
     return theta
 
 
-def _residual_and_gradient(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # r = A x - y and g = A^T r in one pass over A, in A's dtype: each block
-    # of rows is read by A_b x and again, still in cache, by A_b^T r_b; the
-    # blocks' shares of g are summed at the end, and both come back float64
-    n, N = A.shape
-    rows = max(1, _BLOCK_BYTES // (A.itemsize * max(N, 1)))
-    r = np.empty(n, A.dtype)
-    shares = np.empty((-(-n // rows), N), A.dtype)
-    for b, start in enumerate(range(0, n, rows)):
+def _rows(width: int, itemsize: int) -> int:
+    # rows per block of a pass or a copy over width columns of itemsize bytes
+    return max(1, _BLOCK_BYTES // (itemsize * max(width, 1)))
+
+
+def _row_blocks(
+    A: np.ndarray, x: np.ndarray, y: np.ndarray | None, r: np.ndarray, shares: np.ndarray, rows: int
+) -> None:
+    # r = A x - y (A x where y is None) and each block's share of A^T r,
+    # block b of rows into r's rows and shares[b]
+    for b, start in enumerate(range(0, A.shape[0], rows)):
         A_b, r_b = A[start : start + rows], r[start : start + rows]
         np.matmul(A_b, x, out=r_b)
-        r_b -= y[start : start + rows]
+        if y is not None:
+            r_b -= y[start : start + rows]
         np.matmul(A_b.T, r_b, out=shares[b])
+
+
+def _residual_and_gradient(A, x: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    # r = A x - y and g = A^T r in one pass over A, in A's dtype: each block
+    # of rows is read by A_b x and again, still in cache, by A_b^T r_b; the
+    # blocks' shares of g are summed at the end, and both come back float64.
+    # y None stands for zero.  A may be a _Shared matrix, whose y is the one
+    # its _Split holds
+    if isinstance(A, _Shared):
+        return A.split.residual_and_gradient(A.copy, x)
+    n, N = A.shape
+    rows = _rows(N, A.itemsize)
+    r = np.empty(n, A.dtype)
+    shares = np.empty((-(-n // rows), N), A.dtype)
+    _row_blocks(A, x, y, r, shares, rows)
     return r.astype(np.float64, copy=False), shares.sum(axis=0, dtype=np.float64)
 
 
-def _columns(A: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
-    # the copy 2^e A[:, cols] and e: float32, C-ordered, made a row block
-    # at a time through a block in A's dtype, with e set so that the first
-    # block's largest entry lies in [0.5, 1).  Scaling by 2^e is exact; a
-    # block whose cast overflows or flushes a nonzero to zero sends the
-    # copy back to A's dtype with e = 0.  mode="clip" fills out in place,
-    # "raise" buffers it
+def _scale(A: np.ndarray, cols: np.ndarray) -> int:
+    # e such that 2^e times the largest entry of the first row block of
+    # A[:, cols] lies in [0.5, 1)
+    rows = _rows(cols.size, A.itemsize)
+    return -int(np.frexp(np.max(np.abs(A[:rows, cols]), initial=0.0))[1])
+
+
+def _float32_columns(A: np.ndarray, cols: np.ndarray, e: int) -> np.ndarray | None:
+    # the copy 2^e A[:, cols] in float32, C-ordered, made a row block at a
+    # time through a block in A's dtype; None when a block's cast overflows
+    # or flushes a nonzero to zero.  mode="clip" fills out in place, "raise"
+    # buffers it
     n = A.shape[0]
-    rows = max(1, _BLOCK_BYTES // (A.itemsize * max(cols.size, 1)))
-    e = -int(np.frexp(np.max(np.abs(A[:rows, cols]), initial=0.0))[1])
+    rows = _rows(cols.size, A.itemsize)
     block = np.empty((min(rows, n), cols.size), A.dtype)
     A_W = np.empty((n, cols.size), np.float32)
     with np.errstate(over="ignore"):
@@ -181,21 +222,151 @@ def _columns(A: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
             out[...] = np.ldexp(b, e)
             # no nonzero was flushed when out holds no zero or as many as b
             if not (np.isfinite(out).all() and (out.all() or np.count_nonzero(out) == np.count_nonzero(b))):
-                break
-        else:
-            return A_W, e
-    del A_W, out  # the float32 copy goes before the float64 one is made
-    return np.take(A, cols, axis=1), 0
+                return None
+    return A_W
 
 
-def _correction(A_W: np.ndarray, e: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _columns(A, cols: np.ndarray) -> tuple[np.ndarray, int]:
+    # the copy 2^e A[:, cols] and e: float32, with e from _scale, which is
+    # exact; or A[:, cols] in A's dtype with e = 0 where float32 cannot hold
+    # it.  A may be a _Shared matrix
+    if isinstance(A, _Shared):
+        return A.split.columns(cols)
+    e = _scale(A, cols)
+    A_W = _float32_columns(A, cols, e)
+    # the float32 copy is gone before the float64 one is made
+    return (A_W, e) if A_W is not None else (np.take(A, cols, axis=1), 0)
+
+
+def _correction(A_W, e: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # A d and A^T A d, float64 and in A's units, from one pass over the copy
     # A_W = 2^e A[:, W] in its own dtype; d goes in as 2^b d with max |2^b d|
     # in [0.5, 1), so that neither it nor the products leave float32's range
     b = -int(np.frexp(np.max(np.abs(d), initial=0.0))[1])
-    zero = np.zeros(A_W.shape[0], A_W.dtype)
-    a_d, g_d = _residual_and_gradient(A_W, np.ldexp(d, b).astype(A_W.dtype), zero)
+    a_d, g_d = _residual_and_gradient(A_W, np.ldexp(d, b).astype(A_W.dtype), None)
     return np.ldexp(a_d, -(e + b)), np.ldexp(g_d, -(2 * e + b))
+
+
+class _Shared:
+    # A, or its working-set copy where copy is True, as the passes of split
+    # see it: their row blocks are shared out; dtype is the matrix's
+    def __init__(self, split: _Split, copy: bool, dtype: np.dtype):
+        self.split, self.copy, self.dtype = split, copy, dtype
+
+
+def _share(n: int, rows: int, workers: int, j: int) -> tuple[int, int, int]:
+    # worker j's share of the row blocks of n rows: blocks [first, last) of
+    # B = ceil(n / rows) with first = j B // w, and rows [lo, hi)
+    blocks = -(-n // rows)
+    first, last = j * blocks // workers, (j + 1) * blocks // workers
+    return first, first * rows, min(last * rows, n)
+
+
+_PASS, _COPY, _FALLBACK = range(3)
+
+
+class _Split(Team):
+    """The passes over A, and over its working-set copy, of one call, each
+    split by row blocks between this process (worker 0) and the helpers of
+    a Team.  x goes out, and r and the blocks' shares of g come back,
+    through the team's shared buffer, in the layout of
+    _residual_and_gradient; this process sums the shares in its order, so
+    every result keeps the serial bits.  A helper reads A and y as this
+    process held them when it forked.  Each worker copies its own rows of
+    the working set, all at one scale e, and the copy falls back to float64
+    in every worker when any of them finds a row float32 cannot hold.
+    """
+
+    def __init__(self, A: np.ndarray, y: np.ndarray | None, workers: int):
+        n, N = A.shape
+        self.A, self.y = A, y
+        self.own = None  # this worker's rows of the working-set copy
+        # the largest pass is over A: a copy of some of its float64 columns,
+        # in float32 or float64, has no more blocks and no longer rows
+        blocks = -(-n // _rows(N, 8))
+        super().__init__(workers, (8 * N, 8 * n, 8 * blocks * N))
+
+    def residual_and_gradient(self, copy: bool, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n, m = self.A.shape[0], x.size
+        self.array(0, x.dtype, m)[:] = x
+        self.start(_PASS, copy, m, x.itemsize)
+        self._pass(0, copy, m, x.itemsize)
+        self.wait()
+        r = self.array(1, x.dtype, n)
+        shares = self.array(2, x.dtype, (-(-n // _rows(m, x.itemsize)), m))
+        return r.astype(np.float64), shares.sum(axis=0, dtype=np.float64)
+
+    def columns(self, cols: np.ndarray) -> tuple[np.ndarray | _Shared, int]:
+        n, m = self.A.shape[0], cols.size
+        self.own = None
+        if -(-n // _rows(m, 4)) < 2 * self.workers:
+            # too narrow to share: this process copies it and passes over it
+            return _columns(self.A, cols)
+        e = _scale(self.A, cols)
+        self.array(0, np.intp, m)[:] = cols
+        self.start(_COPY, m, e)
+        if not all([self._copy(0, m, e), *self.wait()]):
+            self.start(_FALLBACK, m)
+            self._copy(0, m, None)
+            self.wait()
+            e = 0
+        return _Shared(self, True, self.own.dtype), e
+
+    def _pass(self, j: int, copy: bool, m: int, itemsize: int) -> None:
+        # worker j's share of a pass over A or the copy, m columns wide
+        dtype, n = np.dtype(f"f{itemsize}"), self.A.shape[0]
+        rows = _rows(m, itemsize)
+        first, lo, hi = _share(n, rows, self.workers, j)
+        x, r = self.array(0, dtype, m), self.array(1, dtype, n)
+        shares = self.array(2, dtype, (-(-n // rows), m))
+        if copy:
+            M, y = self.own, None
+        else:
+            M, y = self.A[lo:hi], None if self.y is None else self.y[lo:hi]
+        _row_blocks(M, x, y, r[lo:hi], shares[first:], rows)
+
+    def _copy(self, j: int, m: int, e: int | None) -> bool:
+        # worker j's rows of the copy: float32 at scale e, or float64 where
+        # e is None; False when float32 cannot hold them
+        cols = self.array(0, np.intp, m)
+        _, lo, hi = _share(self.A.shape[0], _rows(m, 4 if e is not None else 8), self.workers, j)
+        self.own = None  # the old copy goes before the new one is made
+        self.own = np.take(self.A[lo:hi], cols, axis=1) if e is None else _float32_columns(self.A[lo:hi], cols, e)
+        return self.own is not None
+
+    def serve(self, j: int, op: int, *args: int) -> int:
+        if op == _PASS:
+            copy, m, itemsize = args[:3]
+            self._pass(j, bool(copy), m, itemsize)
+            return 1
+        m, e = args[:2]
+        return int(self._copy(j, m, e if op == _COPY else None))
+
+
+@contextmanager
+def _split(A: np.ndarray, y: np.ndarray | None):
+    # what the passes of one call after its start checks run on: a _Shared
+    # A when w = _workers() > 1 and every worker gets at least two of A's
+    # row blocks (float64 A and y only, on x86-64, whose memory order the
+    # spinning handoff relies on), else A itself.  The helpers are forked at
+    # the first pass and reaped on exit, on error too
+    n, N = A.shape
+    blocks = -(-n // _rows(N, 8))
+    workers = _workers() if blocks >= 4 else 1
+    if (
+        workers == 1
+        or blocks < 2 * workers
+        or A.dtype != np.float64
+        or not (y is None or y.dtype == np.float64)
+        or os.uname().machine != "x86_64"
+    ):
+        yield A
+        return
+    split = _Split(A, y, workers)
+    try:
+        yield _Shared(split, False, A.dtype)
+    finally:
+        split.close()
 
 
 def _objective(r: np.ndarray, x: np.ndarray, lam: float) -> float:
@@ -283,72 +454,73 @@ def lasso_solve(
     # w_residual that of the last check on W
     cols = A_W = None
 
-    for k in range(max_iter + 1):
-        if k % _KKT_EVERY == 0 or k == max_iter:
-            residual = _kkt_violation(g, x, lam)
-            if cols is not None:
-                # a check on W that is not below the last one may be reading
-                # the corrections' float32 error: a new anchor clears it
-                stalled, w_residual = residual >= w_residual, residual
-                if residual <= max(tol, _RECHECK_DROP * full_residual) or stalled or k == max_iter:
-                    # check x on all of A
-                    x_full = np.zeros(N)
-                    x_full[cols] = x
-                    r_full, g_full = _residual_and_gradient(A, x_full, y)
-                    residual = full_residual = _kkt_violation(g_full, x_full, lam)
-                    outside = np.abs(g_full) > lam
-                    outside[cols] = False
-                    if residual <= tol or k == max_iter or outside.any():
-                        # the solve ends, or violators off W restart momentum at
-                        # x and the old copy is dropped before the new one is made
-                        cols, A_W, x, g, r = None, None, x_full, g_full, r_full
-                        v, grad_v, r_v = x, g, r
-                    else:
-                        # W holds: the steps go on from this pass's exact values
-                        x_a, r_a, g_a = x, r_full, g_full[cols]
-                        r, g = r_a, g_a
-            if cols is None and (residual <= tol or k == max_iter):
-                break
-            if cols is None and k > 0:
-                full_residual = residual
-                # W takes every column where v is nonzero, as r_v is A v - y
-                cols = _working_set(x, v != 0.0, g, lam)
-                A_W, e = _columns(A, cols)
-                x, v, g, grad_v = x[cols], v[cols], g[cols], grad_v[cols]
-                x_a, r_a, g_a, w_residual = x, r, g, math.inf
-        if step is None:
-            # the first step, 1/rho from the curvature along g0, scaled so
-            # that a tiny g0 cannot underflow: g0 != 0 lies in range(A^T),
-            # so A g0 != 0 and the quotient is > 0
-            u = g / np.max(np.abs(g))
-            a_u = A @ u
-            step = float(u @ u) / float(a_u @ a_u)
+    with _split(A, y) as M:
+        for k in range(max_iter + 1):
+            if k % _KKT_EVERY == 0 or k == max_iter:
+                residual = _kkt_violation(g, x, lam)
+                if cols is not None:
+                    # a check on W that is not below the last one may be reading
+                    # the corrections' float32 error: a new anchor clears it
+                    stalled, w_residual = residual >= w_residual, residual
+                    if residual <= max(tol, _RECHECK_DROP * full_residual) or stalled or k == max_iter:
+                        # check x on all of A
+                        x_full = np.zeros(N)
+                        x_full[cols] = x
+                        r_full, g_full = _residual_and_gradient(M, x_full, y)
+                        residual = full_residual = _kkt_violation(g_full, x_full, lam)
+                        outside = np.abs(g_full) > lam
+                        outside[cols] = False
+                        if residual <= tol or k == max_iter or outside.any():
+                            # the solve ends, or violators off W restart momentum at
+                            # x and the old copy is dropped before the new one is made
+                            cols, A_W, x, g, r = None, None, x_full, g_full, r_full
+                            v, grad_v, r_v = x, g, r
+                        else:
+                            # W holds: the steps go on from this pass's exact values
+                            x_a, r_a, g_a = x, r_full, g_full[cols]
+                            r, g = r_a, g_a
+                if cols is None and (residual <= tol or k == max_iter):
+                    break
+                if cols is None and k > 0:
+                    full_residual = residual
+                    # W takes every column where v is nonzero, as r_v is A v - y
+                    cols = _working_set(x, v != 0.0, g, lam)
+                    A_W, e = _columns(M, cols)
+                    x, v, g, grad_v = x[cols], v[cols], g[cols], grad_v[cols]
+                    x_a, r_a, g_a, w_residual = x, r, g, math.inf
+            if step is None:
+                # the first step, 1/rho from the curvature along g0, scaled so
+                # that a tiny g0 cannot underflow: g0 != 0 lies in range(A^T),
+                # so A g0 != 0 and the quotient is > 0
+                u = g / np.max(np.abs(g))
+                a_u = A @ u
+                step = float(u @ u) / float(a_u @ a_u)
 
-        x_new = v - step * grad_v
-        # soft threshold: u - clip(u, -t, t) is sign(u) * max(|u| - t, 0)
-        x_new -= x_new.clip(-step * lam, step * lam)
-        if cols is None:
-            r_new, g_new = _residual_and_gradient(A, x_new, y)
-        else:
-            a_d, g_d = _correction(A_W, e, x_new - x_a)
-            r_new, g_new = r_a + a_d, g_a + g_d
-        d_r, d_x = r_new - r_v, x_new - v
+            x_new = v - step * grad_v
+            # soft threshold: u - clip(u, -t, t) is sign(u) * max(|u| - t, 0)
+            x_new -= x_new.clip(-step * lam, step * lam)
+            if cols is None:
+                r_new, g_new = _residual_and_gradient(M, x_new, y)
+            else:
+                a_d, g_d = _correction(A_W, e, x_new - x_a)
+                r_new, g_new = r_a + a_d, g_a + g_d
+            d_r, d_x = r_new - r_v, x_new - v
 
-        if step * float(d_r @ d_r) > float(d_x @ d_x):
-            # the curvature of the step, |A d|^2 / |d|^2, exceeds 1/step: the
-            # quadratic model no longer bounds the objective, so halve and
-            # retry from v
-            step *= 0.5
-        else:
-            d_step = x_new - x
-            # full momentum, unless the step from v turned against the last
-            # move, (v - x_new) . (x_new - x) > 0: then gradient restart,
-            # and x_new + 0 d is x_new
-            m = 0.0 if float(d_x @ d_step) < 0.0 else 1.0
-            v = x_new + m * d_step
-            grad_v = g_new + m * (g_new - g)
-            r_v = r_new + m * (r_new - r)
-            x, g, r = x_new, g_new, r_new
-            step *= _STEP_GROWTH
+            if step * float(d_r @ d_r) > float(d_x @ d_x):
+                # the curvature of the step, |A d|^2 / |d|^2, exceeds 1/step: the
+                # quadratic model no longer bounds the objective, so halve and
+                # retry from v
+                step *= 0.5
+            else:
+                d_step = x_new - x
+                # full momentum, unless the step from v turned against the last
+                # move, (v - x_new) . (x_new - x) > 0: then gradient restart,
+                # and x_new + 0 d is x_new
+                m = 0.0 if float(d_x @ d_step) < 0.0 else 1.0
+                v = x_new + m * d_step
+                grad_v = g_new + m * (g_new - g)
+                r_v = r_new + m * (r_new - r)
+                x, g, r = x_new, g_new, r_new
+                step *= _STEP_GROWTH
 
     return LassoResult(x, _objective(r, x, lam), residual, k, residual <= tol)

@@ -84,7 +84,10 @@ def _fixed_point(g, s0: float) -> float:
                 accel = s - (s1 - s) ** 2 / denom
             except OverflowError:
                 accel = math.nan
-            if math.isfinite(accel) and accel > 0.0:
+            # only on the side the iterates move: with no fixed point (below
+            # the contraction threshold) the extrapolant points back, and
+            # taken it restarts the climb from near 0
+            if math.isfinite(accel) and accel > 0.0 and (accel > s if s1 > s else accel < s):
                 s_next = accel
         if not math.isfinite(s_next) or s_next > 1e30:
             raise NonConvergence("variance iteration diverged (no fixed point)")

@@ -1,7 +1,13 @@
+import os
+import signal
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,8 +116,10 @@ class TestPowerIteration:
             assert power_iteration_sq_norm(A) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_matrix_products_per_call(self, seed):
-        # Lanczos makes 112-136 products here, power iteration 396-1512
+    def test_matrix_products_per_call(self, seed, monkeypatch):
+        # Lanczos makes 112-136 products here, power iteration 396-1512; one
+        # worker, as the counter sees only this process's products
+        monkeypatch.setattr(lasso, "_workers", lambda: 1)
         A = np.random.default_rng(seed).standard_normal((500, 1000)) / np.sqrt(500)
         counted = counting_matrix(A)
         assert power_iteration_sq_norm(counted) == pytest.approx(
@@ -402,6 +410,8 @@ class TestLassoSolve:
         config = InstanceConfig(1000, 2000, SparseSpec(100, 1.0, random_sign=False), noise_variance=0.7, seed=805)
         inst = sample_instance(config)
         events = []
+        # one worker: a pass over all of A is told apart as one over inst.A
+        monkeypatch.setattr(lasso, "_workers", lambda: 1)
 
         def recording_passes(A, x, y):
             r, g = _residual_and_gradient(A, x, y)
@@ -768,3 +778,204 @@ class TestKktResidual:
     def test_requires_finite_lambda(self, lam):
         with pytest.raises(RangeError):
             kkt_residual(make_instance(), lam, np.zeros(120))
+
+
+def _children():
+    # the processes this process has forked and not yet reaped
+    pid = os.getpid()
+    return Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+
+
+def _gone(pid):
+    # no process with this pid, or a zombie waiting for a reaper
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+_SWEEP_INSTANCE = InstanceConfig(1000, 2000, SparseSpec(100, 1.0, random_sign=False), noise_variance=0.7, seed=4)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or os.uname().machine != "x86_64"
+                    or not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="the split runs on x86-64 with fork; the checks read /proc")
+class TestSplitPasses:
+    """lasso_solve's and power_iteration_sq_norm's passes split between
+    this process and 0-2 forked helpers, forced through the private worker
+    rule so that they fan out on any host."""
+
+    @staticmethod
+    def forks_at(monkeypatch, workers):
+        # the worker count, and a record of the helpers the calls fork
+        monkeypatch.setattr(lasso, "_workers", lambda: workers)
+        forks, fork = [], os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+
+    @pytest.mark.parametrize("lipschitz", [False, True], ids=["rayleigh", "lipschitz"])
+    def test_same_bits(self, monkeypatch, lipschitz):
+        inst = sample_instance(_SWEEP_INSTANCE)
+        results = []
+        for workers in (1, 2, 3):
+            forks = self.forks_at(monkeypatch, workers)
+            L = power_iteration_sq_norm(inst.A) if lipschitz else None
+            result = lasso_solve(inst, 0.2, lipschitz=L)
+            results.append((L, result.x_hat.tobytes(), result.objective, result.kkt_residual, result.iterations))
+            # one team per call: helpers forked at the first pass
+            assert len(forks) == (workers - 1) * (2 if lipschitz else 1)
+            assert _children() == []
+        assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("power", [200, -200])
+    def test_float64_fallback_same_bits(self, monkeypatch, power):
+        # the last 100 rows, all in the last worker's share, scaled by
+        # 2^power: at the scale of the first block float32 overflows there
+        # (200) or flushes them to zero (-200), so every worker copies W in
+        # float64, and only the last one sees why
+        inst = sample_instance(_SWEEP_INSTANCE)
+        A, y = inst.A.copy(), inst.y.copy()
+        A[900:] *= 2.0**power
+        y[900:] *= 2.0**power
+        scaled = ProblemInstance(A=A, x_o=inst.x_o, w=inst.w, y=y, config=None)
+        results = []
+        for workers in (1, 2, 3):
+            self.forks_at(monkeypatch, workers)
+            copies = []
+
+            def recording_columns(A, cols):
+                A_W, e = _columns(A, cols)
+                copies.append((isinstance(A_W, lasso._Shared), A_W.dtype, e))
+                return A_W, e
+
+            monkeypatch.setattr(lasso, "_columns", recording_columns)
+            result = lasso_solve(scaled, 0.02, max_iter=200)
+            results.append((result.x_hat.tobytes(), result.objective, result.kkt_residual, result.iterations))
+            assert copies and all(dtype == np.float64 and e == 0 for _, dtype, e in copies)
+            assert all(shared == (workers > 1) for shared, _, _ in copies)
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_power_iteration_same_bits(self, monkeypatch):
+        A = np.random.default_rng(3).standard_normal((500, 1000)) / np.sqrt(500)
+        estimates = []
+        for workers in (1, 2, 3):
+            forks = self.forks_at(monkeypatch, workers)
+            estimates.append(power_iteration_sq_norm(A))
+            assert len(forks) == workers - 1
+        assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
+
+    def test_no_helper_outlives_an_error(self, monkeypatch):
+        inst = sample_instance(_SWEEP_INSTANCE)
+        forks = self.forks_at(monkeypatch, 3)
+        kkt_violation, checks = lasso._kkt_violation, [0]
+
+        def failing_kkt(g, x, lam):
+            # the third check, between two passes
+            checks[0] += 1
+            if checks[0] == 3:
+                raise KeyError("stop")
+            return kkt_violation(g, x, lam)
+
+        monkeypatch.setattr(lasso, "_kkt_violation", failing_kkt)
+        with pytest.raises(KeyError, match="stop"):
+            lasso_solve(inst, 0.2)
+        assert len(forks) == 2
+        assert _children() == []
+        assert all(_gone(pid) for pid in forks)
+
+    def test_helper_exit_is_reported(self, monkeypatch):
+        inst = sample_instance(_SWEEP_INSTANCE)
+        self.forks_at(monkeypatch, 2)
+        caller, row_blocks = os.getpid(), lasso._row_blocks
+
+        def dying_row_blocks(*args):
+            if os.getpid() != caller:
+                os._exit(7)
+            return row_blocks(*args)
+
+        monkeypatch.setattr(lasso, "_row_blocks", dying_row_blocks)
+        with pytest.raises(ChildProcessError, match="helper 1 exited with code 7"):
+            lasso_solve(inst, 0.2)
+        assert _children() == []
+
+    def test_helper_exits_with_its_parent(self):
+        # a solve with two workers in a fresh interpreter, killed mid-solve
+        probe = (
+            "import os, sys\n"
+            "from amppath import lasso, sample_instance, InstanceConfig, SparseSpec\n"
+            "lasso._workers = lambda: 2\n"
+            "fork = os.fork\n"
+            "def printing_fork():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "os.fork = printing_fork\n"
+            "inst = sample_instance(InstanceConfig(1000, 2000, SparseSpec(100), noise_variance=0.7, seed=4))\n"
+            "lasso.lasso_solve(inst, 0.01, tol=0.0, max_iter=100000)\n"
+        )
+        src = str(Path(lasso.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-c", probe], env=env, stdout=subprocess.PIPE, text=True)
+        try:
+            helper = int(proc.stdout.readline())
+            time.sleep(0.2)
+            assert proc.poll() is None and not _gone(helper)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 1.0
+            while not _gone(helper) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert _gone(helper)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+    def test_second_thread_keeps_the_solve_serial(self, monkeypatch):
+        # a second OS thread, as a BLAS pool would start, makes the worker
+        # rule give 1 on any number of CPUs, and no helper is forked
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        def no_fork():
+            raise AssertionError("a helper was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        helper.start()
+        try:
+            assert lasso._workers() == 1
+            inst = sample_instance(_SWEEP_INSTANCE)
+            assert lasso_solve(inst, 0.3).converged
+            power_iteration_sq_norm(inst.A)
+        finally:
+            release.set()
+            helper.join(timeout=10)
+        assert not helper.is_alive()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected_in_every_process(self, monkeypatch, capfd, value):
+        # the entry sits in a helper's rows; a RuntimeWarning there would be
+        # an error (the filter is inherited), which exits the helper and
+        # reaches this process as ChildProcessError
+        A = with_entry(sample_instance(_SWEEP_INSTANCE).A, (950, 7), value)
+        bad = ProblemInstance(A=A, x_o=np.zeros(2000), w=np.zeros(1000), y=np.ones(1000), config=None)
+        forks = self.forks_at(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="not finite"):
+                power_iteration_sq_norm(A)
+            with pytest.raises(RangeError, match="not finite"):
+                lasso_solve(bad, 0.1)
+        # the solve checks A before any split pass: only the Lanczos run forked
+        assert len(forks) == 1
+        assert "Warning" not in capfd.readouterr().err
+        assert _children() == []

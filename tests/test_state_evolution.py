@@ -126,6 +126,23 @@ class TestSolveSigma:
         with pytest.raises(NonConvergence):
             solve_sigma_for_beta(model, 0.0)
 
+    def test_divergence_bound_below_contraction_at_tiny_noise(self, monkeypatch):
+        # se-solve --delta 0.5 --sigma-w-sq 1e-30 --prior 1:0 --beta 0.3: the
+        # map is about s -> 1e-30 + 1.21 s.  Its Aitken extrapolant lies
+        # behind the iterates, and once their rounding swamps the 1e-30 it
+        # came out a tiny positive variance, which restarted the climb until
+        # the 10,000-evaluation cap.  The iterates now climb to the 1e30 bound
+        calls = [0]
+
+        def counted_psi_map(*args):
+            calls[0] += 1
+            return psi_map(*args)
+
+        monkeypatch.setattr(se, "psi_map", counted_psi_map)
+        with pytest.raises(NonConvergence, match="diverged"):
+            solve_sigma_for_beta(SEModel(0.5, 1e-30, point_mass_at_zero()), 0.3)
+        assert calls[0] < 1000
+
     def test_fixed_point_at_tiny_noise(self):
         # the fixed point is sigma_hat = 3.8e-15; a stop bound absolute below
         # variance 1 once returned sigma_hat = 2.9e-9, where 69% of sigma_hat^2
