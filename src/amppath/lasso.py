@@ -62,19 +62,24 @@ checks can be split between processes (_split).  With w = _workers() > 1
 (BLAS on one thread, w CPUs in the affinity mask), on x86-64, and when
 each of w processes gets at least two of A's row blocks, the first pass
 forks w - 1 helpers (_team.Team).  Each pass then hands each process a
-contiguous run of its row blocks, the same blocks as in one process.  x
-goes out, and r and each block's share of A^T r come back, through a
-shared buffer.  This process sums the shares in the serial order, so
-every result keeps the serial bits.  Each process copies its own rows of
-A_W, at one scale e; when float32 cannot hold any of them, all fall back to
-float64.  The helpers spin between passes and are reaped before the call
-returns or raises.  kkt_residual's one pass and smaller matrices stay
-serial; so does a working set too narrow to give each process two blocks.
+contiguous run of its row blocks, the same blocks as in one process;
+this process takes the first run, the shortest where the blocks do not
+divide evenly.  x goes out, and r and each block's share of A^T r come
+back, through a shared buffer.  This process sums the shares in the
+serial order, so every result keeps the serial bits.  A step posts its
+pass, then works out what it knows without it (d_x, d_step and their
+products) while the helpers do their rows, and only then runs its own
+rows.  Each process copies its own rows of A_W, at one scale e; when
+float32 cannot hold any of them, all fall back to float64.  The helpers
+spin between passes and are reaped before the call returns or raises.
+kkt_residual's one pass and smaller matrices stay serial; so does a
+working set too narrow to give each process one block.
 """
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -169,17 +174,23 @@ def _rows(width: int, itemsize: int) -> int:
     return max(1, _BLOCK_BYTES // (itemsize * max(width, 1)))
 
 
-def _row_blocks(
-    A: np.ndarray, x: np.ndarray, y: np.ndarray | None, r: np.ndarray, shares: np.ndarray, rows: int
-) -> None:
-    # r = A x - y (A x where y is None) and each block's share of A^T r,
-    # block b of rows into r's rows and shares[b]
-    for b, start in enumerate(range(0, A.shape[0], rows)):
-        A_b, r_b = A[start : start + rows], r[start : start + rows]
+def _blocks(A: np.ndarray, y: np.ndarray | None, r: np.ndarray, shares: np.ndarray, rows: int) -> list[tuple]:
+    # what a pass reads and writes in each block of rows of A: A_b, A_b^T,
+    # y_b (None where y is None), r's rows and shares[b]
+    return [
+        (A[lo : lo + rows], A[lo : lo + rows].T, None if y is None else y[lo : lo + rows], r[lo : lo + rows], share)
+        for lo, share in zip(range(0, A.shape[0], rows), shares)
+    ]
+
+
+def _row_blocks(blocks: list[tuple], x: np.ndarray) -> None:
+    # r_b = A_b x - y_b (A_b x where y_b is None) and the block's share of
+    # A^T r, A_b^T r_b, for each of _blocks' blocks
+    for A_b, A_bT, y_b, r_b, share in blocks:
         np.matmul(A_b, x, out=r_b)
-        if y is not None:
-            r_b -= y[start : start + rows]
-        np.matmul(A_b.T, r_b, out=shares[b])
+        if y_b is not None:
+            r_b -= y_b
+        np.matmul(A_bT, r_b, out=share)
 
 
 def _residual_and_gradient(A, x: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +205,18 @@ def _residual_and_gradient(A, x: np.ndarray, y: np.ndarray | None) -> tuple[np.n
     rows = _rows(N, A.itemsize)
     r = np.empty(n, A.dtype)
     shares = np.empty((-(-n // rows), N), A.dtype)
-    _row_blocks(A, x, y, r, shares, rows)
+    _row_blocks(_blocks(A, y, r, shares, rows), x)
     return r.astype(np.float64, copy=False), shares.sum(axis=0, dtype=np.float64)
+
+
+def _post(A, x: np.ndarray, y: np.ndarray | None) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
+    # _residual_and_gradient(A, x, y) in two calls: this one starts a pass
+    # over a _Shared A, whose helpers begin on their rows at once, and the
+    # function it returns finishes the pass, so work the caller does in
+    # between runs while they do; a serial pass runs when it is finished
+    if isinstance(A, _Shared):
+        A.split.post(A.copy, x)
+    return lambda: _residual_and_gradient(A, x, y)
 
 
 def _scale(A: np.ndarray, cols: np.ndarray) -> int:
@@ -238,13 +259,20 @@ def _columns(A, cols: np.ndarray) -> tuple[np.ndarray, int]:
     return (A_W, e) if A_W is not None else (np.take(A, cols, axis=1), 0)
 
 
-def _correction(A_W, e: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _correction(A_W, e: int, d: np.ndarray) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
     # A d and A^T A d, float64 and in A's units, from one pass over the copy
     # A_W = 2^e A[:, W] in its own dtype; d goes in as 2^b d with max |2^b d|
-    # in [0.5, 1), so that neither it nor the products leave float32's range
-    b = -int(np.frexp(np.max(np.abs(d), initial=0.0))[1])
-    a_d, g_d = _residual_and_gradient(A_W, np.ldexp(d, b).astype(A_W.dtype), None)
-    return np.ldexp(a_d, -(e + b)), np.ldexp(g_d, -(2 * e + b))
+    # in [0.5, 1), so that neither it nor the products leave float32's range;
+    # d is scaled in place.  The pass is posted as _post posts one, and the
+    # function returned finishes it
+    b = -math.frexp(np.maximum.reduce(np.abs(d), initial=0.0))[1]
+    finish = _post(A_W, np.ldexp(d, b, out=d).astype(A_W.dtype, copy=False), None)
+
+    def corrected() -> tuple[np.ndarray, np.ndarray]:
+        a_d, g_d = finish()
+        return np.ldexp(a_d, -(e + b), out=a_d), np.ldexp(g_d, -(2 * e + b), out=g_d)
+
+    return corrected
 
 
 class _Shared:
@@ -281,26 +309,41 @@ class _Split(Team):
         n, N = A.shape
         self.A, self.y = A, y
         self.own = None  # this worker's rows of the working-set copy
+        # pass layouts by (worker, copy, width, itemsize), kept for the
+        # length of a copy
+        self.layouts: dict = {}
+        self.posted = False  # a pass is posted and not yet finished
         # the largest pass is over A: a copy of some of its float64 columns,
         # in float32 or float64, has no more blocks and no longer rows
         blocks = -(-n // _rows(N, 8))
         super().__init__(workers, (8 * N, 8 * n, 8 * blocks * N))
 
+    def post(self, copy: bool, x: np.ndarray) -> None:
+        # x out and the pass to the helpers, which start on their rows
+        self._layout(0, copy, x.size, x.itemsize)[0][:] = x
+        self.start(_PASS, copy, x.size, x.itemsize)
+        self.posted = True
+
     def residual_and_gradient(self, copy: bool, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n, m = self.A.shape[0], x.size
-        self.array(0, x.dtype, m)[:] = x
-        self.start(_PASS, copy, m, x.itemsize)
-        self._pass(0, copy, m, x.itemsize)
+        # the pass posted for x, or posted now; then this worker's rows, and
+        # the shares summed in the serial order once the helpers are done
+        if not self.posted:
+            self.post(copy, x)
+        self.posted = False
+        _, r, shares, own = self._layout(0, copy, x.size, x.itemsize)
+        _row_blocks(own, x)
         self.wait()
-        r = self.array(1, x.dtype, n)
-        shares = self.array(2, x.dtype, (-(-n // _rows(m, x.itemsize)), m))
         return r.astype(np.float64), shares.sum(axis=0, dtype=np.float64)
 
     def columns(self, cols: np.ndarray) -> tuple[np.ndarray | _Shared, int]:
         n, m = self.A.shape[0], cols.size
+        # the old copy, and the layouts that view it, go before a new one is
+        # made, here or in _copy
         self.own = None
-        if -(-n // _rows(m, 4)) < 2 * self.workers:
-            # too narrow to share: this process copies it and passes over it
+        self.layouts.clear()
+        if -(-n // _rows(m, 4)) < self.workers:
+            # too narrow for a block per process: this process copies it and
+            # passes over it
             return _columns(self.A, cols)
         e = _scale(self.A, cols)
         self.array(0, np.intp, m)[:] = cols
@@ -312,32 +355,38 @@ class _Split(Team):
             e = 0
         return _Shared(self, True, self.own.dtype), e
 
-    def _pass(self, j: int, copy: bool, m: int, itemsize: int) -> None:
-        # worker j's share of a pass over A or the copy, m columns wide
-        dtype, n = np.dtype(f"f{itemsize}"), self.A.shape[0]
-        rows = _rows(m, itemsize)
-        first, lo, hi = _share(n, rows, self.workers, j)
-        x, r = self.array(0, dtype, m), self.array(1, dtype, n)
-        shares = self.array(2, dtype, (-(-n // rows), m))
-        if copy:
-            M, y = self.own, None
-        else:
-            M, y = self.A[lo:hi], None if self.y is None else self.y[lo:hi]
-        _row_blocks(M, x, y, r[lo:hi], shares[first:], rows)
+    def _layout(self, j: int, copy: bool, m: int, itemsize: int) -> tuple:
+        # a pass over A or the copy, m columns wide: its x, r and shares
+        # arrays, and worker j's blocks
+        key = (j, copy, m, itemsize)
+        if key not in self.layouts:
+            dtype, n = np.dtype(f"f{itemsize}"), self.A.shape[0]
+            rows = _rows(m, itemsize)
+            first, lo, hi = _share(n, rows, self.workers, j)
+            x, r = self.array(0, dtype, m), self.array(1, dtype, n)
+            shares = self.array(2, dtype, (-(-n // rows), m))
+            if copy:
+                M, y = self.own, None
+            else:
+                M, y = self.A[lo:hi], None if self.y is None else self.y[lo:hi]
+            self.layouts[key] = (x, r, shares, _blocks(M, y, r[lo:hi], shares[first:], rows))
+        return self.layouts[key]
 
     def _copy(self, j: int, m: int, e: int | None) -> bool:
         # worker j's rows of the copy: float32 at scale e, or float64 where
         # e is None; False when float32 cannot hold them
         cols = self.array(0, np.intp, m)
         _, lo, hi = _share(self.A.shape[0], _rows(m, 4 if e is not None else 8), self.workers, j)
-        self.own = None  # the old copy goes before the new one is made
+        self.own = None
+        self.layouts.clear()
         self.own = np.take(self.A[lo:hi], cols, axis=1) if e is None else _float32_columns(self.A[lo:hi], cols, e)
         return self.own is not None
 
     def serve(self, j: int, op: int, *args: int) -> int:
         if op == _PASS:
             copy, m, itemsize = args[:3]
-            self._pass(j, bool(copy), m, itemsize)
+            x, _, _, own = self._layout(j, bool(copy), m, itemsize)
+            _row_blocks(own, x)
             return 1
         m, e = args[:2]
         return int(self._copy(j, m, e if op == _COPY else None))
@@ -500,26 +549,37 @@ def lasso_solve(
             # soft threshold: u - clip(u, -t, t) is sign(u) * max(|u| - t, 0)
             x_new -= x_new.clip(-step * lam, step * lam)
             if cols is None:
-                r_new, g_new = _residual_and_gradient(M, x_new, y)
+                finish = _post(M, x_new, y)
             else:
-                a_d, g_d = _correction(A_W, e, x_new - x_a)
-                r_new, g_new = r_a + a_d, g_a + g_d
-            d_r, d_x = r_new - r_v, x_new - v
+                finish = _correction(A_W, e, x_new - x_a)
+            # what the step knows before its pass, worked out while a split
+            # pass's helpers do their rows
+            d_x, d_step = x_new - v, x_new - x
+            dx_sq, dx_step = float(d_x @ d_x), float(d_x @ d_step)
+            r_new, g_new = finish()
+            if cols is not None:
+                r_new += r_a
+                g_new += g_a
+            d_r = r_new - r_v
 
-            if step * float(d_r @ d_r) > float(d_x @ d_x):
+            if step * float(d_r @ d_r) > dx_sq:
                 # the curvature of the step, |A d|^2 / |d|^2, exceeds 1/step: the
                 # quadratic model no longer bounds the objective, so halve and
                 # retry from v
                 step *= 0.5
             else:
-                d_step = x_new - x
                 # full momentum, unless the step from v turned against the last
-                # move, (v - x_new) . (x_new - x) > 0: then gradient restart,
-                # and x_new + 0 d is x_new
-                m = 0.0 if float(d_x @ d_step) < 0.0 else 1.0
-                v = x_new + m * d_step
-                grad_v = g_new + m * (g_new - g)
-                r_v = r_new + m * (r_new - r)
+                # move, (v - x_new) . (x_new - x) > 0: then gradient restart.
+                # The momentum m is 1 or 0, so it is not multiplied in: at
+                # m = 0 the products x_new + 0 d_step, g_new + 0 (g_new - g)
+                # and r_new + 0 (r_new - r) differ from x_new, g_new and r_new
+                # at most in the sign of a zero.  x_new and v hold no -0.0, so
+                # only grad_v and r_v can differ, and neither reaches
+                # x_new = v - step grad_v or d_r @ d_r
+                if dx_step < 0.0:
+                    v, grad_v, r_v = x_new, g_new, r_new
+                else:
+                    v, grad_v, r_v = x_new + d_step, g_new + (g_new - g), r_new + (r_new - r)
                 x, g, r = x_new, g_new, r_new
                 step *= _STEP_GROWTH
 

@@ -1,3 +1,4 @@
+import inspect
 import os
 import signal
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amppath import (
@@ -738,6 +739,41 @@ class TestColumns:
         assert np.array_equal(A_W, A)
 
 
+def unscaled_correction(A_W, e, d):
+    # _correction with its vectors scaled out of place: d scaled into a new
+    # float64 vector, then cast, and new vectors for the scaled products
+    b = -int(np.frexp(np.max(np.abs(d), initial=0.0))[1])
+    a_d, g_d = _residual_and_gradient(A_W, np.ldexp(d, b).astype(A_W.dtype), None)
+    return np.ldexp(a_d, -(e + b)), np.ldexp(g_d, -(2 * e + b))
+
+
+class TestCorrection:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mantissas=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=30),
+        exponent=st.integers(-1080, 900),
+        rows=st.integers(1, 30),
+        e=st.integers(-20, 20),
+        float64=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # max |d| subnormal, 0.75 * 2^-1060: d is scaled by 2^1060, a power of
+    # two that 2.0**b would overflow
+    @example(mantissas=[0.75, -0.3, 0.0], exponent=-1060, rows=5, e=3, float64=False, seed=0)
+    @example(mantissas=[0.75, -0.3, 0.0], exponent=-1060, rows=5, e=0, float64=True, seed=0)
+    # a float64 copy, which has e = 0
+    @example(mantissas=[0.5, 1.0, -0.25], exponent=40, rows=7, e=0, float64=True, seed=1)
+    def test_in_place_scaling_keeps_the_bits(self, mantissas, exponent, rows, e, float64, seed):
+        d = np.ldexp(np.array(mantissas), exponent)
+        dtype = np.float64 if float64 else np.float32
+        e = 0 if float64 else e
+        A_W = np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, d.size)).astype(dtype)
+        expected = unscaled_correction(A_W, e, d)
+        a_d, g_d = _correction(A_W, e, d.copy())()
+        assert a_d.dtype == g_d.dtype == np.float64
+        assert a_d.tobytes() == expected[0].tobytes() and g_d.tobytes() == expected[1].tobytes()
+
+
 class TestKktResidual:
     def test_zero_at_scalar_optimum(self):
         inst = scalar_instance(2.0, 3.0)
@@ -861,6 +897,88 @@ class TestSplitPasses:
             assert copies and all(dtype == np.float64 and e == 0 for _, dtype, e in copies)
             assert all(shared == (workers > 1) for shared, _, _ in copies)
         assert results[1] == results[0] and results[2] == results[0]
+
+    def test_every_step_branch_same_bits(self, monkeypatch):
+        # a rejected step, a step with full momentum and one that restarts
+        # it, each taken on all of A and on W, in one process and with the
+        # passes split at w = 2 and 3; a tracer counts each branch's line
+        # in lasso_solve
+        source, first = inspect.getsourcelines(lasso.lasso_solve)
+
+        def line_of(text):
+            (i,) = [i for i, line in enumerate(source) if text in line]
+            return first + i
+
+        branches = {
+            line_of("step *= 0.5"): "rejected",
+            line_of("v, grad_v, r_v = x_new, g_new, r_new"): "restart",
+            line_of("v, grad_v, r_v = x_new + d_step"): "momentum",
+        }
+        code = lasso.lasso_solve.__code__
+        inst = sample_instance(_SWEEP_INSTANCE)
+        results = []
+        for workers in (1, 2, 3):
+            self.forks_at(monkeypatch, workers)
+            counts = {(branch, on): 0 for branch in branches.values() for on in ("A", "W")}
+
+            def counting(frame, event, arg):
+                if event == "line" and frame.f_lineno in branches:
+                    on = "A" if frame.f_locals["cols"] is None else "W"
+                    counts[branches[frame.f_lineno], on] += 1
+                return counting
+
+            previous = sys.gettrace()
+            sys.settrace(lambda frame, event, arg: counting if frame.f_code is code else None)
+            try:
+                result = lasso_solve(inst, 0.2)
+            finally:
+                sys.settrace(previous)
+            assert all(counts.values()), counts
+            results.append((result.x_hat.tobytes(), result.objective, result.kkt_residual, result.iterations, counts))
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_narrow_working_set_same_bits(self, monkeypatch):
+        # at lambda 0.8 W holds 457 columns, 3 float32 row blocks: fewer
+        # than two per process at w = 2 and 3, but at least one, so the
+        # copy and its passes are still split
+        inst = sample_instance(_SWEEP_INSTANCE)
+        results = []
+        for workers in (1, 2, 3):
+            self.forks_at(monkeypatch, workers)
+            copies = []
+
+            def recording_columns(A, cols):
+                A_W, e = _columns(A, cols)
+                copies.append((-(-1000 // lasso._rows(cols.size, 4)), isinstance(A_W, lasso._Shared)))
+                return A_W, e
+
+            monkeypatch.setattr(lasso, "_columns", recording_columns)
+            result = lasso_solve(inst, 0.8)
+            results.append((result.x_hat.tobytes(), result.objective, result.kkt_residual, result.iterations))
+            assert copies and all(shared == (workers > 1) for _, shared in copies)
+            if workers > 1:
+                assert all(workers <= blocks < 2 * workers for blocks, _ in copies)
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_new_copy_of_the_same_width(self, monkeypatch):
+        # each process keeps the layout of a pass over the copy, which must
+        # go with the copy: a pass over a second copy as wide as the first
+        # reads the second one's rows in every process
+        inst = sample_instance(_SWEEP_INSTANCE)
+        d = np.random.default_rng(0).standard_normal(700)
+        column_sets = (np.arange(700), np.arange(1300, 2000))
+        expected = []
+        for cols in column_sets:
+            A_W, e = _columns(inst.A, cols)
+            expected.append([v.tobytes() for v in _correction(A_W, e, d.copy())()])
+        for workers in (2, 3):
+            self.forks_at(monkeypatch, workers)
+            with lasso._split(inst.A, inst.y) as M:
+                for cols, bits in zip(column_sets, expected):
+                    A_W, e = _columns(M, cols)
+                    assert isinstance(A_W, lasso._Shared)
+                    assert [v.tobytes() for v in _correction(A_W, e, d.copy())()] == bits
+            assert _children() == []
 
     def test_power_iteration_same_bits(self, monkeypatch):
         A = np.random.default_rng(3).standard_normal((500, 1000)) / np.sqrt(500)
